@@ -85,7 +85,10 @@
 // the committed table against the settled work's timelines; every repaired
 // table is certified by ValidateSchedule before adoption
 // (scheduler.CertifyReplan), and the per-task §2.3.1 rescheduling request
-// remains the fallback. Between executions, the monitoring plane catches
+// remains the fallback. Each re-plan sees every host the execution has
+// observed dead, the Site Manager marks each one down in the repository
+// on first observation, and a task failing on a host whose re-plan is in
+// flight waits for it. Between executions, the monitoring plane catches
 // up: a Group Manager round marks dead hosts down in the repository,
 // evicts their prediction-cache entries, resets per-host filter state on
 // recovery, and fans deviation signals out to in-flight executions
@@ -95,6 +98,15 @@
 // seeded host-failure/straggler traces over the dagen grid and scores
 // every re-planner by makespan degradation against the fault-free run —
 // deterministic and bit-identical for any worker count.
+//
+// There is one discrete-event executor. scheduler.Simulate runs it with no
+// trace; scheduler.RunChurn runs the same dense engine with the churn
+// trace, the overrun threshold and a re-plan hook. At equal times a finish
+// lands first, then an availability transition, then an overrun
+// detection, then a start, ties breaking on ascending task id, so a
+// fault-free churn run equals Simulate by construction. The CHURN golden
+// (internal/scheduler/testdata/churn_golden.json) pins every outcome field
+// of the built-in re-planners.
 //
 // See README.md for the architecture overview, the policy table, the
 // per-experiment index, and how to run the benchmarks. The root-level

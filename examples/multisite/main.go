@@ -50,7 +50,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, table, err := syr.ExecuteDistributed(context.Background(), g, []*site.RemoteSelector{peer})
+	res, table, err := syr.ExecuteDistributedPolicy(context.Background(), g, []*site.RemoteSelector{peer}, "")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -108,9 +108,10 @@ func interfaceSite(t *testing.T, fi *FuncInfo, method string) *CallSite {
 }
 
 // TestCallGraphGolden resolves the repo's own interface-heavy dispatch
-// points — the Policy registry, the HostSelector multicast, the HostCoster
-// extension — against the production packages and pins the callee sets.
-// A new Policy or selector implementation must show up here.
+// points — the Policy registry, the HostSelector multicast, the churn
+// executor's Replanner dispatch — against the production packages and pins
+// the callee sets. A new Policy, selector or re-planner implementation must
+// show up here.
 func TestCallGraphGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks production packages")
@@ -139,10 +140,11 @@ func TestCallGraphGolden(t *testing.T) {
 			"(*repro/internal/scheduler.LocalSelector).SelectHosts",
 			"(*repro/internal/site.RemoteSelector).SelectHosts",
 		}},
-		// The HEFT/CPOP per-host cost extension: local sites only (RPC
-		// remotes degrade to the single best offer).
-		{"scheduler.gatherCostMatrix", "HostCosts", []string{
-			"(*repro/internal/scheduler.LocalSelector).HostCosts",
+		// RunChurn's frontier re-plan: every built-in re-planner.
+		{"scheduler.churnHook).replan", "Replan", []string{
+			"(repro/internal/scheduler.dupReplanner).Replan",
+			"(repro/internal/scheduler.eftReplanner).Replan",
+			"(repro/internal/scheduler.heftReplanner).Replan",
 		}},
 	}
 	for _, c := range cases {

@@ -62,10 +62,12 @@ type Rescheduler func(ctx context.Context, id afg.TaskID, exclude []string) (sch
 // FrontierReplan re-plans every not-yet-started task after a host failure —
 // the Group Manager's frontier rescheduling path (§2.3.1), backed by a
 // scheduler.Replanner. settled lists tasks whose placements must be
-// preserved (started or finished); the returned map carries the new
+// preserved (started or finished); dead lists every host the execution has
+// observed failed, in observation order, the last one being the failure
+// that triggered this re-plan. The returned map carries the new
 // assignments for the unstarted frontier. An error falls back to the
 // per-task Rescheduler.
-type FrontierReplan func(ctx context.Context, g *afg.Graph, table *scheduler.AllocationTable, settled map[afg.TaskID]bool, failedHost string) (map[afg.TaskID]scheduler.Assignment, error)
+type FrontierReplan func(ctx context.Context, g *afg.Graph, table *scheduler.AllocationTable, settled map[afg.TaskID]bool, dead []string) (map[afg.TaskID]scheduler.Assignment, error)
 
 // Options configures an execution.
 type Options struct {
@@ -110,6 +112,11 @@ type Options struct {
 	// OnTaskDone, if set, observes each task completion (visualization
 	// service feed).
 	OnTaskDone func(TaskResult)
+
+	// replanWait, when set, runs as a task finds the frontier re-plan for
+	// its failed host already in flight and is about to wait for it.
+	// Tests use it as a barrier to force that interleaving.
+	replanWait func(host string)
 }
 
 type taskOutcome struct {
@@ -215,12 +222,15 @@ type execEnv struct {
 	opts  Options
 
 	// Live placement state: the current assignment per task (frontier
-	// re-plans move unstarted entries), which tasks have started (settled,
-	// not movable), and which failed hosts already triggered a re-plan.
+	// re-plans move movable entries), which tasks have started and which
+	// finished, and the re-plan each failed host triggered, with the failed
+	// hosts in observation order.
 	mu        sync.Mutex
 	cur       map[afg.TaskID]scheduler.Assignment
 	started   map[afg.TaskID]bool
-	replanned map[string]bool
+	finished  map[afg.TaskID]bool
+	replanned map[string]*replanRound
+	dead      []string
 	replans   int
 
 	// in-memory mode: one buffered channel per link.
@@ -235,7 +245,8 @@ func newExecEnv(g *afg.Graph, table *scheduler.AllocationTable, opts Options) (*
 		g: g, table: table, opts: opts,
 		cur:       make(map[afg.TaskID]scheduler.Assignment, g.Len()),
 		started:   make(map[afg.TaskID]bool, g.Len()),
-		replanned: make(map[string]bool),
+		finished:  make(map[afg.TaskID]bool, g.Len()),
+		replanned: make(map[string]*replanRound),
 	}
 	for _, id := range g.TaskIDs() {
 		a, _ := table.Get(id)
@@ -295,27 +306,64 @@ func (e *execEnv) release(id afg.TaskID) {
 	delete(e.started, id)
 }
 
+// finish records that a task succeeded: its placement is final.
+func (e *execEnv) finish(id afg.TaskID) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.finished[id] = true
+}
+
+// movable reports whether a frontier re-plan may move a task: it has not
+// started, or it started on a host since observed failed and has not
+// finished — that execution is lost, so the task is back on the frontier.
+// Callers hold e.mu.
+func (e *execEnv) movable(id afg.TaskID) bool {
+	return !e.started[id] || (!e.finished[id] && e.replanned[e.cur[id].Host] != nil)
+}
+
+// replanRound is one failed host's frontier re-plan: done closes once its
+// assignments are installed (or it failed), and applied reports which.
+type replanRound struct {
+	done    chan struct{}
+	applied bool
+}
+
 // frontierReplan fires at most one frontier re-plan per failed host and
-// installs the new assignments for every still-unstarted task. It reports
-// whether a re-plan (this one or an earlier one for the same host) ran, so
-// the caller knows to re-read its assignment before falling back to the
+// installs the new assignments for every still-unstarted task. A caller
+// reporting a host whose re-plan is already in flight waits for it. It
+// reports whether the host's re-plan installed new assignments, so the
+// caller knows to re-read its assignment before falling back to the
 // per-task path.
 func (e *execEnv) frontierReplan(ctx context.Context, host string) bool {
 	if e.opts.FrontierReplan == nil {
 		return false
 	}
 	e.mu.Lock()
-	if e.replanned[host] {
+	if r, ok := e.replanned[host]; ok {
 		e.mu.Unlock()
-		return true
+		if e.opts.replanWait != nil {
+			e.opts.replanWait(host)
+		}
+		select {
+		case <-r.done:
+			return r.applied
+		case <-ctx.Done():
+			return false
+		}
 	}
-	e.replanned[host] = true
+	r := &replanRound{done: make(chan struct{})}
+	defer close(r.done)
+	e.replanned[host] = r
+	e.dead = append(e.dead, host)
+	dead := append([]string(nil), e.dead...)
 	settled := make(map[afg.TaskID]bool, len(e.started))
 	for id := range e.started {
-		settled[id] = true
+		if !e.movable(id) {
+			settled[id] = true
+		}
 	}
 	e.mu.Unlock()
-	moved, err := e.opts.FrontierReplan(ctx, e.g, e.table, settled, host)
+	moved, err := e.opts.FrontierReplan(ctx, e.g, e.table, settled, dead)
 	if err != nil || len(moved) == 0 {
 		return false
 	}
@@ -323,10 +371,11 @@ func (e *execEnv) frontierReplan(ctx context.Context, host string) bool {
 	defer e.mu.Unlock()
 	e.replans++
 	for id, a := range moved {
-		if !e.started[id] {
+		if e.movable(id) {
 			e.cur[id] = a
 		}
 	}
+	r.applied = true
 	return true
 }
 
@@ -471,6 +520,7 @@ func (e *execEnv) runTask(ctx context.Context, id afg.TaskID, out chan<- taskOut
 			res.Host = assign.Host
 			res.Site = assign.Site
 			res.Elapsed = time.Since(begin)
+			e.finish(id)
 			if err := e.deliver(ctx, id, val); err != nil {
 				fail(err)
 				return
@@ -490,6 +540,7 @@ func (e *execEnv) runTask(ctx context.Context, id afg.TaskID, out chan<- taskOut
 				res.Host = assign.Host
 				res.Site = assign.Site
 				res.Elapsed = time.Since(begin)
+				e.finish(id)
 				if err := e.deliver(ctx, id, val); err != nil {
 					fail(err)
 					return

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -385,12 +386,12 @@ func TestFrontierReplanMovesWholeFrontier(t *testing.T) {
 	calls := 0
 	res, err := Execute(context.Background(), g, table, Options{
 		Hosts: resolve,
-		FrontierReplan: func(ctx context.Context, g *afg.Graph, table *scheduler.AllocationTable, settled map[afg.TaskID]bool, failedHost string) (map[afg.TaskID]scheduler.Assignment, error) {
+		FrontierReplan: func(ctx context.Context, g *afg.Graph, table *scheduler.AllocationTable, settled map[afg.TaskID]bool, dead []string) (map[afg.TaskID]scheduler.Assignment, error) {
 			mu.Lock()
 			calls++
 			mu.Unlock()
-			if failedHost != "A" {
-				t.Errorf("failedHost = %q", failedHost)
+			if len(dead) != 1 || dead[0] != "A" {
+				t.Errorf("dead = %q, want [A]", dead)
 			}
 			moved := map[afg.TaskID]scheduler.Assignment{}
 			for _, id := range g.TaskIDs() {
@@ -409,6 +410,56 @@ func TestFrontierReplanMovesWholeFrontier(t *testing.T) {
 	}
 	if res.FrontierReplans != 1 {
 		t.Fatalf("FrontierReplans = %d", res.FrontierReplans)
+	}
+	for id, tr := range res.TaskResults {
+		if tr.Host != "B" {
+			t.Fatalf("task %s ran on %s, want B", id, tr.Host)
+		}
+	}
+}
+
+// TestConcurrentFailureWaitsForInFlightReplan: a task failing on a host
+// whose frontier re-plan is already in flight waits for that re-plan and
+// retries on its new placement, instead of re-reading its stale slot and
+// falling back to the per-task path (Options.Reschedule is nil, so a
+// fallback fails the run). The barrier hook holds the first re-plan open
+// until the second failing task is waiting on it.
+func TestConcurrentFailureWaitsForInFlightReplan(t *testing.T) {
+	g := linSolverGraph(t, 16) // genA and genB start together
+	hosts, resolve := testCluster(2)
+	hosts["A"].SetDown(true)
+	table := spreadTable(g, []string{"A"})
+	waiting := make(chan struct{})
+	var once sync.Once
+	var calls atomic.Int32
+	res, err := Execute(context.Background(), g, table, Options{
+		Hosts: resolve,
+		replanWait: func(host string) {
+			if host == "A" {
+				once.Do(func() { close(waiting) })
+			}
+		},
+		FrontierReplan: func(ctx context.Context, g *afg.Graph, table *scheduler.AllocationTable, settled map[afg.TaskID]bool, dead []string) (map[afg.TaskID]scheduler.Assignment, error) {
+			calls.Add(1)
+			select {
+			case <-waiting:
+			case <-time.After(10 * time.Second):
+				t.Error("the second task failing on A never waited for the in-flight re-plan")
+			}
+			// Move every task: the one waiting has released its slot by
+			// the time the assignments are installed.
+			moved := map[afg.TaskID]scheduler.Assignment{}
+			for _, id := range g.TaskIDs() {
+				moved[id] = scheduler.Assignment{Task: id, Site: "syr", Host: "B"}
+			}
+			return moved, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := calls.Load(); n != 1 || res.FrontierReplans != 1 {
+		t.Fatalf("re-plans: %d calls, %d applied, want one of each", n, res.FrontierReplans)
 	}
 	for id, tr := range res.TaskResults {
 		if tr.Host != "B" {
@@ -436,7 +487,7 @@ func TestDeviationsChannelTriggersReplan(t *testing.T) {
 			Hosts:      resolve,
 			Gate:       gate,
 			Deviations: dev,
-			FrontierReplan: func(ctx context.Context, g *afg.Graph, table *scheduler.AllocationTable, settled map[afg.TaskID]bool, failedHost string) (map[afg.TaskID]scheduler.Assignment, error) {
+			FrontierReplan: func(ctx context.Context, g *afg.Graph, table *scheduler.AllocationTable, settled map[afg.TaskID]bool, dead []string) (map[afg.TaskID]scheduler.Assignment, error) {
 				moved := map[afg.TaskID]scheduler.Assignment{}
 				for _, id := range g.TaskIDs() {
 					if !settled[id] {

@@ -1,14 +1,14 @@
 package scheduler
 
 // churn.go is the seeded fault-injection harness behind the CHURN
-// experiment: a deterministic discrete-event executor that replays a
-// committed allocation table under a scripted churn trace — hosts going
-// down (killing their running tasks), coming back, and straggler hosts
-// running slower than predicted — and drives the frontier rescheduler
-// (resched.go) on every deviation. The scheduler side only ever sees
-// predicted costs; the trace's straggle multipliers are ground truth it
-// discovers through overrun detection, exactly the information asymmetry
-// of the live monitoring plane.
+// experiment: it replays a committed allocation table on Simulate's
+// discrete-event executor (sim.go) under a scripted churn trace — hosts
+// going down (killing their running tasks), coming back, and straggler
+// hosts running slower than predicted — and drives the frontier
+// rescheduler (resched.go) on every deviation. The scheduler side only
+// ever sees predicted costs; the trace's straggle multipliers are ground
+// truth it discovers through overrun detection, exactly the information
+// asymmetry of the live monitoring plane.
 //
 // Determinism contract: for a fixed graph, table, trace, and config the
 // run is bit-identical — every set iterated here goes through sorted
@@ -16,7 +16,6 @@ package scheduler
 // every adopted re-plan is certified by CertifyReplan first.
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -75,17 +74,9 @@ func GenerateChurnTrace(hosts []string, horizon float64, cfg ChurnTraceConfig, s
 	rng := rand.New(rand.NewSource(seed))
 	perm := rng.Perm(len(names))
 
-	nFail := int(math.Round(cfg.FailFraction * float64(len(names))))
-	if nFail >= len(names) {
-		nFail = len(names) - 1 // at least one survivor
-	}
-	if nFail < 0 {
-		nFail = 0
-	}
-	nSlow := int(math.Round(cfg.StraggleFraction * float64(len(names))))
-	if nFail+nSlow > len(names) {
-		nSlow = len(names) - nFail
-	}
+	// At least one survivor; stragglers come from the rest.
+	nFail := max(0, min(len(names)-1, int(math.Round(cfg.FailFraction*float64(len(names))))))
+	nSlow := min(len(names)-nFail, int(math.Round(cfg.StraggleFraction*float64(len(names)))))
 
 	var tr ChurnTrace
 	for i := 0; i < nFail; i++ {
@@ -145,307 +136,145 @@ type ChurnOutcome struct {
 	Killed          int     `json:"killed"`   // task executions lost to host failures
 }
 
-type churnRun struct {
-	host  string // primary host
-	hosts []string
-	start float64
-	pred  float64 // predicted duration as scheduled
-	//vdce:unit seconds
-	predFin   float64 // start + pred: the finish the scheduler expects
-	actualFin float64
-	detected  bool // overrun deviation already raised
-}
-
 // RunChurn replays table under the churn trace, re-planning the unstarted
 // frontier through the named re-planner on every deviation. predicted is
 // the scheduler-visible cost model; the trace's straggle multipliers turn
 // it into ground truth. Every adopted re-plan is certified by
 // CertifyReplan against the predicted model first.
+//
+// RunChurn is Simulate's executor (sim.go) with the trace, the overrun
+// threshold and the deviation hook below attached.
 func RunChurn(g *afg.Graph, table *AllocationTable, predicted TimeModel, net *netsim.Network, hosts []HostRef, trace ChurnTrace, cfg ChurnConfig) (*ChurnOutcome, error) {
 	cfg = cfg.withDefaults()
 	rp, err := LookupReplanner(cfg.Replanner)
 	if err != nil {
 		return nil, err
 	}
-	ids := g.TaskIDs()
-	for _, id := range ids {
-		if _, ok := table.Get(id); !ok {
-			return nil, fmt.Errorf("scheduler: churn: task %s missing from table", id)
-		}
+	sc := getScratch()
+	defer sc.release()
+	r := &sc.exec
+	if err := r.load(g, table, predicted, net, trace); err != nil {
+		return nil, err
 	}
-
-	cur := NewAllocationTableSized(table.App, len(ids))
-	for _, id := range ids {
-		a, _ := table.Get(id)
+	// The plan being executed starts as a copy of table: promotions write
+	// to it, and each adopted re-plan replaces it.
+	cur := NewAllocationTableSized(table.App, len(r.assigns))
+	for _, a := range r.assigns {
 		cur.Set(a)
 	}
-
-	var (
-		out      ChurnOutcome
-		now      float64
-		done     = make(map[afg.TaskID]float64, len(ids))
-		running  = make(map[afg.TaskID]*churnRun)
-		down     = make(map[string]bool)
-		hostFree = make(map[string]float64)
-		dupOf    = make(map[afg.TaskID]Assignment)
-		traceIx  = 0
-	)
-	straggleOf := func(hs []string) float64 {
-		m := 1.0
-		for _, h := range hs {
-			if s, ok := trace.Straggle[h]; ok && s > m {
-				m = s
-			}
-		}
-		return m
+	h := &churnHook{r: r, rp: rp, cfg: cfg, cur: cur, dups: make([]Assignment, g.Len()),
+		base: ReplanRequest{Graph: g, Costs: predicted, Hosts: hosts, Net: net}}
+	r.threshold, r.deviate = cfg.OverrunThreshold, h.deviate
+	mk, err := r.run()
+	if err != nil {
+		return nil, err
 	}
-	runningIDs := func() []afg.TaskID {
-		rs := make([]afg.TaskID, 0, len(running))
-		for id := range running {
-			rs = append(rs, id)
-		}
-		sort.Slice(rs, func(i, j int) bool { return rs[i] < rs[j] })
-		return rs
-	}
+	out := h.out // a copy: the result must not pin the hook and its scratch
+	out.Makespan = mk
+	return &out, nil
+}
 
-	replan := func(ev Deviation) error {
-		if cfg.MaxReplans > 0 && out.Replans >= cfg.MaxReplans {
-			return nil
+// churnHook is RunChurn's deviation handling: it counts kills, promotes
+// registered duplicates, and re-plans the frontier, placing adopted
+// assignments back into the executor.
+type churnHook struct {
+	r    *executor
+	rp   Replanner
+	cfg  ChurnConfig
+	cur  *AllocationTable // the plan being executed, mirrored by r.assigns
+	base ReplanRequest    // the environment every re-plan request shares
+	dups []Assignment     // per task: registered hedge copy; Task "" = none
+	out  ChurnOutcome
+}
+
+// deviate handles one deviation. After a host failure the killed tasks are
+// back on the frontier, and a live registered duplicate becomes a killed
+// task's new primary placement. Then the frontier is re-planned.
+func (h *churnHook) deviate(kind DeviationKind, task int32) error {
+	r := h.r
+	ev := Deviation{Kind: kind, At: r.now}
+	if kind == DeviationOverrun {
+		ev.Host, ev.Task = r.assigns[task].Host, r.ix.ID(int(task))
+		if r.pred[task] > 0 {
+			ev.Ratio = (r.fin[task] - r.began[task]) / r.pred[task]
 		}
-		req := &ReplanRequest{
-			Graph: g,
-			Table: cur,
-			Done:  done,
+		return h.replan(ev)
+	}
+	ev.Host = r.events[r.next-1].Host
+	for i, ph := range r.phase {
+		if ph != taskKilled {
+			continue
+		}
+		h.out.Killed++
+		if d := h.dups[i]; d.Task != "" && !r.down[r.column(d.Host)] {
+			h.cur.Set(d)
+			r.place(i, d)
+			h.dups[i] = Assignment{}
+			h.out.DupRuns++
+		}
+	}
+	return h.replan(ev)
+}
+
+// replan re-plans the frontier and adopts the certified result. The
+// request's maps are built here, only when a re-plan fires.
+func (h *churnHook) replan(ev Deviation) error {
+	if h.cfg.MaxReplans > 0 && h.out.Replans >= h.cfg.MaxReplans {
+		return nil
+	}
+	r := h.r
+	req := h.base
+	req.Event, req.Table = ev, h.cur
+	req.Done = make(map[afg.TaskID]float64, r.done)
+	req.Running = make(map[afg.TaskID]float64)
+	req.Down = make(map[string]bool)
+	for i, ph := range r.phase {
+		switch ph {
+		case taskDone:
+			req.Done[r.ix.ID(i)] = r.fin[i]
+		case taskRunning:
 			// The scheduler's view of a running task is its expected
 			// finish, floored at the present — it knows an overrunning
 			// task has not finished yet, not when it will.
-			Running: make(map[afg.TaskID]float64, len(running)),
-			Down:    down,
-			Event:   ev,
-			Costs:   predicted,
-			Hosts:   hosts,
-			Net:     net,
+			req.Running[r.ix.ID(i)] = math.Max(r.now, r.began[i]+r.pred[i])
 		}
-		for _, id := range runningIDs() {
-			f := running[id].predFin
-			if now > f {
-				f = now
-			}
-			req.Running[id] = f
-		}
-		pl, err := rp.Replan(req)
-		if err != nil {
-			// An unrepairable moment (e.g. every eligible host down) is
-			// not fatal: execution continues on the stale plan and a
-			// later recovery or deviation may retry.
-			return nil
-		}
-		if _, err := CertifyReplan(g, pl.Table, predicted, net); err != nil {
-			return fmt.Errorf("churn replan (%s, %s): %w", cfg.Replanner, ev.Kind, err)
-		}
-		// Settled assignments must survive verbatim: the frontier
-		// rescheduler may only move unstarted tasks.
-		for _, id := range ids {
-			_, isDone := done[id]
-			_, isRun := running[id]
-			if !isDone && !isRun {
-				continue
-			}
-			was, _ := cur.Get(id)
-			is, ok := pl.Table.Get(id)
-			if !ok || was.Host != is.Host || was.Site != is.Site {
-				return fmt.Errorf("churn replan (%s): settled task %s moved from %s to %s",
-					cfg.Replanner, id, was.Host, is.Host)
-			}
-		}
-		cur = pl.Table
-		out.Replans++
-		out.Moved += pl.Moved
-		switch ev.Kind {
-		case DeviationHostDown:
-			out.HostDownReplans++
-		case DeviationOverrun:
-			out.OverrunReplans++
-		}
-		for _, d := range pl.Duplicates {
-			if _, isDone := done[d.Task]; isDone {
-				continue
-			}
-			if _, isRun := running[d.Task]; isRun {
-				continue
-			}
-			dupOf[d.Task] = d
-		}
+	}
+	for _, e := range r.events[:r.next] {
+		req.Down[e.Host] = e.Down // the host's latest transition
+	}
+	pl, err := h.rp.Replan(&req)
+	if err != nil {
+		// An unrepairable moment (e.g. every eligible host down) is not
+		// fatal: execution continues on the stale plan and a later
+		// recovery or deviation may retry.
 		return nil
 	}
-
-	for len(done) < len(ids) {
-		// Earliest pending start: parents done, every host up, clamped to
-		// the present.
-		const none = math.MaxFloat64
-		startAt, startID := none, afg.TaskID("")
-		for _, id := range ids {
-			if _, isDone := done[id]; isDone {
-				continue
-			}
-			if _, isRun := running[id]; isRun {
-				continue
-			}
-			a, _ := cur.Get(id)
-			hs := effectiveHosts(a)
-			ok := true
-			for _, h := range hs {
-				if down[h] {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			at := now
-			for _, l := range g.Parents(id) {
-				pf, isDone := done[l.From]
-				if !isDone {
-					ok = false
-					break
-				}
-				arrive := pf
-				if net != nil {
-					pa, _ := cur.Get(l.From)
-					// Simulate's transfer rule exactly: a link between
-					// tasks sharing any host moves no data.
-					if !sharesHost(effectiveHosts(pa), hs) {
-						arrive += net.TransferTime(pa.Site, a.Site, transferBytes(g, l)).Seconds()
-					}
-				}
-				if arrive > at {
-					at = arrive
-				}
-			}
-			if !ok {
-				continue
-			}
-			for _, h := range hs {
-				if f := hostFree[h]; f > at {
-					at = f
-				}
-			}
-			if at < startAt {
-				startAt, startID = at, id
-			}
-		}
-
-		finAt, finID := none, afg.TaskID("")
-		detAt, detID := none, afg.TaskID("")
-		for _, id := range runningIDs() {
-			r := running[id]
-			if r.actualFin < finAt {
-				finAt, finID = r.actualFin, id
-			}
-			if cfg.OverrunThreshold > 1 && !r.detected {
-				d := r.start + cfg.OverrunThreshold*r.pred
-				if r.actualFin > d && d < detAt {
-					detAt, detID = d, id
-				}
-			}
-		}
-		traceAt := none
-		if traceIx < len(trace.Events) {
-			traceAt = trace.Events[traceIx].At
-		}
-
-		// Priority at equal times: finishes land first, then availability
-		// transitions, then overrun detections, then new starts — so a
-		// re-plan always sees the freshest settled/down state, and no task
-		// starts on a host in the same instant it goes down.
-		switch {
-		case finAt <= traceAt && finAt <= detAt && finAt <= startAt && finID != "":
-			r := running[finID]
-			now = finAt
-			done[finID] = r.actualFin
-			delete(running, finID)
-			delete(dupOf, finID)
-
-		case traceAt <= detAt && traceAt <= startAt && traceAt < none:
-			ev := trace.Events[traceIx]
-			traceIx++
-			now = ev.At
-			if !ev.Down {
-				if down[ev.Host] {
-					delete(down, ev.Host)
-					if hostFree[ev.Host] < now {
-						hostFree[ev.Host] = now
-					}
-				}
-				break
-			}
-			if down[ev.Host] {
-				break
-			}
-			down[ev.Host] = true
-			hostFree[ev.Host] = now
-			for _, id := range runningIDs() {
-				r := running[id]
-				if !hostIn(r.hosts, ev.Host) {
-					continue
-				}
-				// Work lost: the task returns to the frontier. A live
-				// registered duplicate becomes its new primary placement.
-				delete(running, id)
-				out.Killed++
-				if d, ok := dupOf[id]; ok && !down[d.Host] {
-					cur.Set(d)
-					delete(dupOf, id)
-					out.DupRuns++
-				}
-			}
-			if err := replan(Deviation{Kind: DeviationHostDown, Host: ev.Host, At: now}); err != nil {
-				return nil, err
-			}
-
-		case detAt <= startAt && detID != "":
-			r := running[detID]
-			now = detAt
-			r.detected = true
-			ratio := 0.0
-			if r.pred > 0 {
-				ratio = (r.actualFin - r.start) / r.pred
-			}
-			if err := replan(Deviation{
-				Kind: DeviationOverrun, Host: r.host, Task: detID, At: now, Ratio: ratio,
-			}); err != nil {
-				return nil, err
-			}
-
-		case startID != "":
-			now = startAt
-			a, _ := cur.Get(startID)
-			hs := effectiveHosts(a)
-			task := g.Task(startID)
-			pred := predicted(task, a.Host)
-			if len(hs) > 1 {
-				pred /= float64(len(hs)) // Simulate's parallel split
-			}
-			r := &churnRun{
-				host: a.Host, hosts: hs, start: startAt, pred: pred,
-				predFin:   startAt + pred,
-				actualFin: startAt + pred*straggleOf(hs),
-			}
-			running[startID] = r
-			for _, h := range hs {
-				hostFree[h] = r.actualFin
-			}
-
-		default:
-			return nil, errors.New("scheduler: churn: execution stuck (every runnable path is down and no recovery is scripted)")
+	if _, err := CertifyReplan(req.Graph, pl.Table, req.Costs, req.Net); err != nil {
+		return fmt.Errorf("churn replan (%s, %s): %w", h.cfg.Replanner, ev.Kind, err)
+	}
+	// Settled assignments must survive verbatim: the frontier rescheduler
+	// may only move unstarted tasks.
+	for i, was := range r.assigns {
+		is, ok := pl.Table.Get(r.ix.ID(i))
+		if r.phase[i] < taskRunning {
+			r.place(i, is)
+		} else if !ok || was.Host != is.Host || was.Site != is.Site {
+			return fmt.Errorf("churn replan (%s): settled task %s moved from %s to %s",
+				h.cfg.Replanner, r.ix.ID(i), was.Host, is.Host)
 		}
 	}
-
-	for _, id := range ids {
-		if f := done[id]; f > out.Makespan {
-			out.Makespan = f
+	h.cur = pl.Table
+	h.out.Replans++
+	h.out.Moved += pl.Moved
+	if ev.Kind == DeviationHostDown {
+		h.out.HostDownReplans++
+	} else {
+		h.out.OverrunReplans++
+	}
+	for _, d := range pl.Duplicates {
+		if i := r.ix.Of(d.Task); i >= 0 && r.phase[i] < taskRunning {
+			h.dups[i] = d
 		}
 	}
-	return &out, nil
+	return nil
 }

@@ -16,9 +16,9 @@ import (
 	"time"
 
 	"repro/internal/afg"
+	"repro/internal/dagen"
 	"repro/internal/netsim"
 	"repro/internal/repository"
-	"repro/internal/workload"
 )
 
 // equivEnv builds a 4-site heterogeneous environment with per-host speed
@@ -51,7 +51,7 @@ func equivEnv(t testing.TB, seed int64) (*Request, map[string]*repository.Reposi
 // parallel-mode tasks so the machine-set placement path is exercised.
 func equivGraph(t testing.TB, tasks, width int, seed int64) *afg.Graph {
 	t.Helper()
-	g := workload.Scale(tasks, width, 6, seed)
+	g := dagen.Scale(tasks, width, 6, seed)
 	rng := rand.New(rand.NewSource(seed * 31))
 	for _, id := range g.TaskIDs() {
 		if rng.Intn(12) == 0 {

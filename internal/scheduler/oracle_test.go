@@ -17,6 +17,39 @@ import (
 	"repro/internal/netsim"
 )
 
+// oracleHostCosts is the map-keyed per-host cost gather the production
+// path replaced with LocalSelector.denseHostCosts: for every task, the pure
+// predicted execution seconds on every eligible host at the site, sorted
+// by host name.
+func oracleHostCosts(s *LocalSelector, g *afg.Graph) (map[afg.TaskID][]Choice, error) {
+	var gens map[string]uint64
+	if s.Cache != nil {
+		gens = s.Cache.Generations()
+	}
+	resources := s.Repo.Resources.List()
+	out := make(map[afg.TaskID][]Choice, g.Len())
+	for _, id := range g.TaskIDs() {
+		task := g.Task(id)
+		var choices []Choice
+		for _, r := range resources {
+			if !s.eligible(task, r) {
+				continue
+			}
+			choices = append(choices, Choice{
+				Site:      s.Site,
+				Host:      r.Static.HostName,
+				Predicted: s.predictOn(task, r, 0, gens),
+			})
+		}
+		if len(choices) == 0 {
+			return nil, fmt.Errorf("task %q at site %s: %w", id, s.Site, ErrNoEligibleHost)
+		}
+		sort.Slice(choices, func(i, j int) bool { return choices[i].Host < choices[j].Host })
+		out[id] = choices
+	}
+	return out, nil
+}
+
 // oracleCollectCandidates is the original map-keyed collectCandidates.
 func oracleCollectCandidates(g *afg.Graph, req *Request) (map[afg.TaskID][]Choice, error) {
 	if req.Local == nil {
@@ -27,8 +60,8 @@ func oracleCollectCandidates(g *afg.Graph, req *Request) (map[afg.TaskID][]Choic
 
 	perSite := make([]map[afg.TaskID][]Choice, len(selectors))
 	for i, sel := range selectors {
-		if hc, ok := sel.(HostCoster); ok {
-			if m, err := hc.HostCosts(g); err == nil {
+		if ls, ok := sel.(*LocalSelector); ok {
+			if m, err := oracleHostCosts(ls, g); err == nil {
 				perSite[i] = m
 			}
 			continue
@@ -692,4 +725,34 @@ func oracleAvailabilityAware(s *SiteScheduler, g *afg.Graph, results []oracleSit
 		tracker.Complete(id)
 	}
 	return table, nil
+}
+
+// isEntryLike is the map-keyed isEntryLikeDense: whether the task "is an
+// entry task or does not require any input file from its parent node
+// tasks" (Fig 4, step 7).
+func isEntryLike(g *afg.Graph, id afg.TaskID) bool {
+	for _, l := range g.Parents(id) {
+		if transferBytes(g, l) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// transferCost is the map-keyed transferCostDense: transfer_time(Sparent,
+// Sj) summed over the task's already scheduled parents.
+func (s *SiteScheduler) transferCost(g *afg.Graph, id afg.TaskID, site string, table *AllocationTable) float64 {
+	if s.Net == nil {
+		return 0
+	}
+	var total float64
+	for _, l := range g.Parents(id) {
+		parent, ok := table.Get(l.From)
+		if !ok {
+			continue // parent unscheduled (possible only for cross runs)
+		}
+		bytes := transferBytes(g, l)
+		total += s.Net.TransferTime(parent.Site, site, bytes).Seconds()
+	}
+	return total
 }

@@ -35,7 +35,7 @@ type Request struct {
 
 	// Local is the local site's Host Selection service (the predictor the
 	// paper's Fig 5 algorithm runs against). Policies that want per-host
-	// costs use the HostCoster extension when the selector offers it.
+	// costs get them from in-process LocalSelectors.
 	Local HostSelector
 
 	// Remotes are the other known sites; Config.K bounds the fan-out.

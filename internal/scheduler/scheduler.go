@@ -174,15 +174,6 @@ type LocalSelector struct {
 	Priority PriorityFunc
 }
 
-// HostCoster is an optional HostSelector extension: per-task pure predicted
-// execution seconds for EVERY eligible host at the site, not just the
-// minimiser SelectHosts reports. The HEFT/CPOP policies use it for their
-// rank computations and per-host placement; selectors without it (RPC
-// remotes) degrade to the single best offer per site.
-type HostCoster interface {
-	HostCosts(g *afg.Graph) (map[afg.TaskID][]Choice, error)
-}
-
 // SiteName implements HostSelector.
 func (s *LocalSelector) SiteName() string { return s.Site }
 
@@ -339,48 +330,14 @@ func (s *LocalSelector) eligible(task *afg.Task, r repository.ResourceRecord) bo
 	return s.Repo.Constraints.CanRun(task.Function, r.Static.HostName)
 }
 
-// HostCosts implements HostCoster: for every task, the pure predicted
-// execution seconds on every eligible host at this site, sorted by host
-// name. Unlike SelectHosts it models no queueing — no queued-load bumps, no
-// free-time timeline — because the caller (HEFT/CPOP placement) prices
-// contention itself; the Forecast hook and prediction cache apply as usual.
-//
-//vdce:ignore allocflow map-keyed HostCoster compatibility form (the RPC selector contract), once per (site, schedule); the local hot path is denseHostCosts's contiguous slab
-func (s *LocalSelector) HostCosts(g *afg.Graph) (map[afg.TaskID][]Choice, error) {
-	var gens map[string]uint64
-	if s.Cache != nil {
-		gens = s.Cache.Generations()
-	}
-	resources := s.Repo.Resources.List()
-	out := make(map[afg.TaskID][]Choice, g.Len())
-	for _, id := range g.TaskIDs() {
-		task := g.Task(id)
-		var choices []Choice
-		for _, r := range resources {
-			if !s.eligible(task, r) {
-				continue
-			}
-			choices = append(choices, Choice{
-				Site:      s.Site,
-				Host:      r.Static.HostName,
-				Predicted: s.predictOn(task, r, 0, gens),
-			})
-		}
-		if len(choices) == 0 {
-			return nil, fmt.Errorf("task %q at site %s: %w", id, s.Site, ErrNoEligibleHost)
-		}
-		sort.Slice(choices, func(i, j int) bool { return choices[i].Host < choices[j].Host })
-		out[id] = choices
-	}
-	return out, nil
-}
-
-// denseHostCosts implements denseCoster: the batched form of HostCosts.
-// One pass over (task × resource) fills a contiguous prediction slab —
-// columns are the site's hosts ascending by name (the repository's List
-// order), NaN marks ineligible pairs — with no per-task map or slice
-// allocation. A task no host can run fails the whole site, exactly like
-// HostCosts.
+// denseHostCosts implements denseCoster. One pass over (task × resource)
+// fills a contiguous prediction slab — columns are the site's hosts
+// ascending by name (the repository's List order), NaN marks ineligible
+// pairs — with no per-task map or slice allocation. Unlike SelectHosts it
+// models no queueing — no queued-load bumps, no free-time timeline —
+// because the caller (HEFT/CPOP placement) prices contention itself; the
+// Forecast hook and prediction cache apply as usual. A task no host can
+// run fails the whole site.
 func (s *LocalSelector) denseHostCosts(ix *afg.Index) ([]string, []float64, error) {
 	var gens map[string]uint64
 	if s.Cache != nil {

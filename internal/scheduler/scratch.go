@@ -34,14 +34,14 @@ package scheduler
 import "sync"
 
 // scratch is the arena. Fields group by consumer; consumers sharing a
-// field (CPOP's pending counters and the simulator's, say) never coexist
-// in one holder, because a holder runs exactly one of those paths.
+// field never coexist in one holder, because a holder runs exactly one of
+// those paths.
 type scratch struct {
 	// Rank and priority state (HEFT, CPOP, dense site walks).
 	rankU   []float64  // upward ranks / combined CPOP priority
 	rankD   []float64  // downward ranks
 	order   []int32    // rank-sorted task order
-	pending []int32    // unfinished-parent counters (CPOP walk, simulator)
+	pending []int32    // unfinished-parent counters (CPOP walk)
 	heap    []prioItem // ready-heap backing array (CPOP)
 	cp      []bool     // critical-path membership (CPOP)
 
@@ -58,14 +58,9 @@ type scratch struct {
 	// Site-walk state (selectHostsDense).
 	scored []scored // candidate scratch for selectFor
 
-	// Simulator state (Simulate's event loop).
-	assigns   []Assignment     // dense assignment copies
-	hostCols  [][]int32        // dense host columns per task
-	colArena  []int32          // one backing array for every column entry
-	hostFree  []float64        // column -> host-free time (reset to 0)
-	dataReady []float64        // per-task data-ready time (reset to 0)
-	simHeap   []pqItem         // event-queue backing array
-	hostCol   map[string]int32 // host name -> dense column (cleared per use)
+	// Discrete-event executor state (Simulate, RunChurn); executor.load
+	// reuses its buffers under the same contract.
+	exec executor
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -92,6 +87,8 @@ func (s *scratch) release() {
 	if s == nil || scratchPoolOff {
 		return
 	}
+	// Drop the executor's references to the caller's graph, models and trace.
+	s.exec.ix, s.exec.model, s.exec.net, s.exec.events, s.exec.stragglers, s.exec.deviate = nil, nil, nil, nil, nil, nil
 	scratchPool.Put(s)
 }
 

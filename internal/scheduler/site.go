@@ -430,8 +430,9 @@ func (w *readyWalk) complete(t int) {
 	w.tracker.Complete(w.ix.ID(t))
 }
 
-// isEntryLikeDense is isEntryLike over CSR arcs: the task has no parents
-// or none of its input links moves data.
+// isEntryLikeDense reports whether the task "is an entry task or does not
+// require any input file from its parent node tasks" (Fig 4, step 7): it
+// has no parents or none of its input links moves data.
 func isEntryLikeDense(ix *afg.Index, t int) bool {
 	for _, a := range ix.Parents(t) {
 		if a.Bytes > 0 {
@@ -443,6 +444,9 @@ func isEntryLikeDense(ix *afg.Index, t int) bool {
 
 // transferCostDense sums transfer_time(Sparent, Sj) over the task's
 // already scheduled parents, reading CSR arcs and the dense site table.
+// (The paper's formula names a single parent site; with several parents
+// each contributes its own transfer, so we sum — a co-located parent
+// contributes its cheap LAN term.)
 func (s *SiteScheduler) transferCostDense(ix *afg.Index, t int, siteName string, site []string) float64 {
 	if s.Net == nil {
 		return 0
@@ -622,17 +626,6 @@ func nearestSelectors(local HostSelector, remotes []HostSelector, net *netsim.Ne
 	return out
 }
 
-// isEntryLike reports whether the task "is an entry task or does not
-// require any input file from its parent node tasks" (Fig 4, step 7).
-func isEntryLike(g *afg.Graph, id afg.TaskID) bool {
-	for _, l := range g.Parents(id) {
-		if transferBytes(g, l) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // transferBytes returns the data volume of one link: the link's explicit
 // size, or the parent's declared output volume ("the input size of the
 // application can be used for the transfer size parameter").
@@ -644,24 +637,4 @@ func transferBytes(g *afg.Graph, l afg.Link) int64 {
 		return p.OutputBytes
 	}
 	return 0
-}
-
-// transferCost sums transfer_time(Sparent, Sj) over the task's already
-// scheduled parents. (The paper's formula names a single parent site; with
-// several parents each contributes its own transfer, so we sum — a
-// co-located parent contributes its cheap LAN term.)
-func (s *SiteScheduler) transferCost(g *afg.Graph, id afg.TaskID, site string, table *AllocationTable) float64 {
-	if s.Net == nil {
-		return 0
-	}
-	var total float64
-	for _, l := range g.Parents(id) {
-		parent, ok := table.Get(l.From)
-		if !ok {
-			continue // parent unscheduled (possible only for cross runs)
-		}
-		bytes := transferBytes(g, l)
-		total += s.Net.TransferTime(parent.Site, site, bytes).Seconds()
-	}
-	return total
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/afg"
+	"repro/internal/dagen"
 	"repro/internal/netsim"
 	"repro/internal/resource"
 	"repro/internal/scheduler"
@@ -31,7 +32,7 @@ func TestScheduleBatchOverRPC(t *testing.T) {
 	defer client.Close()
 
 	graphs := []interface{ Encode() ([]byte, error) }{
-		workload.Scale(50, 5, 4, 1),
+		dagen.Scale(50, 5, 4, 1),
 		workload.Pipeline(8, 0.1, 1<<10),
 		workload.ForkJoin(6, 0.2, 1<<10),
 	}
@@ -196,7 +197,7 @@ func TestScheduleBatchOverRPCWithLedger(t *testing.T) {
 // even on a site configured availability-aware: the deprecated site flag is
 // a default, not an override of the caller's explicit choice.
 func TestExplicitFaithfulIgnoresAvailabilityAwareDefault(t *testing.T) {
-	graphs := []*afg.Graph{workload.Scale(60, 6, 4, 5)}
+	graphs := []*afg.Graph{dagen.Scale(60, 6, 4, 5)}
 	tables := make([]*scheduler.AllocationTable, 2)
 	for i, avail := range []bool{false, true} {
 		pool := resource.GenerateSite("syracuse", 4, 4, 31)

@@ -32,7 +32,7 @@ func TestExecuteDistributedAcrossRPC(t *testing.T) {
 	peer := NewRemoteSelector("rome", addr)
 	defer peer.Close()
 
-	res, table, err := local.ExecuteDistributed(context.Background(), solverGraph(t), []*RemoteSelector{peer})
+	res, table, err := local.ExecuteDistributedPolicy(context.Background(), solverGraph(t), []*RemoteSelector{peer}, "")
 	if err != nil {
 		t.Fatal(err)
 	}

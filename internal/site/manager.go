@@ -244,15 +244,7 @@ func (m *Manager) Rescheduler() runtime.Rescheduler {
 		bad := make(map[string]bool, len(exclude))
 		for _, h := range exclude {
 			bad[h] = true
-			// A host excluded because it is actually down gets marked in
-			// the repository immediately ("the machine is marked as
-			// 'down' and the Site Manager is informed in order to
-			// prevent further task mappings", §2.3.1) rather than
-			// waiting for the next monitor round.
-			if ph := m.Pool.Get(h); ph != nil && ph.IsDown() {
-				m.Repo.Resources.SetDown(h, true)
-				m.Cache.Invalidate(h)
-			}
+			m.markDown(h)
 		}
 		var best scheduler.Assignment
 		found := false
@@ -276,6 +268,21 @@ func (m *Manager) Rescheduler() runtime.Rescheduler {
 			return scheduler.Assignment{}, scheduler.ErrNoEligibleHost
 		}
 		return best, nil
+	}
+}
+
+// markDown marks a host the runtime observed failed down in the repository
+// on first observation ("the machine is marked as 'down' and the Site
+// Manager is informed in order to prevent further task mappings", §2.3.1)
+// rather than waiting for the next monitor round. Hosts outside this site's
+// pool, or not actually down, are left alone.
+func (m *Manager) markDown(h string) {
+	if ph := m.Pool.Get(h); ph == nil || !ph.IsDown() {
+		return
+	}
+	if rec, err := m.Repo.Resources.Get(h); err == nil && !rec.Dynamic.Down {
+		m.Repo.Resources.SetDown(h, true)
+		m.Cache.Invalidate(h)
 	}
 }
 
@@ -303,10 +310,11 @@ func (m *Manager) SubscribeDeviations() (<-chan string, func()) {
 // FrontierReplanner builds the runtime's whole-frontier rescheduling
 // callback from the site's configured re-planner: candidate hosts and the
 // cost model come from the resource-performance database (the same data the
-// original placement used), settled tasks are modelled as running to their
-// predicted finish, and the repaired table is certified by ValidateSchedule
-// before any assignment is adopted. Returns nil when Config.Replanner is
-// "off".
+// original placement used), every host the execution observed dead is
+// marked down there and excluded, settled tasks are modelled as running to
+// their predicted finish, and the repaired table is certified by
+// ValidateSchedule before any assignment is adopted. Returns nil when
+// Config.Replanner is "off".
 func (m *Manager) FrontierReplanner() runtime.FrontierReplan {
 	name := m.cfg.Replanner
 	if name == "off" {
@@ -316,11 +324,15 @@ func (m *Manager) FrontierReplanner() runtime.FrontierReplan {
 		name = "eft"
 	}
 	rp, lookupErr := scheduler.LookupReplanner(name)
-	return func(ctx context.Context, g *afg.Graph, table *scheduler.AllocationTable, settled map[afg.TaskID]bool, failedHost string) (map[afg.TaskID]scheduler.Assignment, error) {
+	return func(ctx context.Context, g *afg.Graph, table *scheduler.AllocationTable, settled map[afg.TaskID]bool, dead []string) (map[afg.TaskID]scheduler.Assignment, error) {
 		if lookupErr != nil {
 			return nil, lookupErr
 		}
-		down := map[string]bool{failedHost: true}
+		down := make(map[string]bool, len(dead))
+		for _, h := range dead {
+			down[h] = true
+			m.markDown(h)
+		}
 		var hosts []scheduler.HostRef
 		speed := make(map[string]float64)
 		load := make(map[string]float64)
@@ -336,12 +348,6 @@ func (m *Manager) FrontierReplanner() runtime.FrontierReplan {
 			}
 			hosts = append(hosts, scheduler.HostRef{Site: rec.Static.Site, Host: rec.Static.HostName})
 		}
-		sort.Slice(hosts, func(i, j int) bool {
-			if hosts[i].Site != hosts[j].Site {
-				return hosts[i].Site < hosts[j].Site
-			}
-			return hosts[i].Host < hosts[j].Host
-		})
 		costs := func(task *afg.Task, host string) float64 {
 			sf, ok := speed[host]
 			if !ok || sf <= 0 {
@@ -377,7 +383,7 @@ func (m *Manager) FrontierReplanner() runtime.FrontierReplan {
 			Table:   table,
 			Running: running,
 			Down:    down,
-			Event:   scheduler.Deviation{Kind: scheduler.DeviationHostDown, Host: failedHost},
+			Event:   scheduler.Deviation{Kind: scheduler.DeviationHostDown, Host: dead[len(dead)-1]},
 			Costs:   costs,
 			Hosts:   hosts,
 			Net:     m.Net,
@@ -399,19 +405,6 @@ func (m *Manager) FrontierReplanner() runtime.FrontierReplan {
 		}
 		return moved, nil
 	}
-}
-
-// SiteScheduler builds this site's distributed Site Scheduler over the given
-// remote selectors, with the configured fan-out concurrency and placement
-// mode.
-//
-// Deprecated: use Policy (or SchedulePolicy) — the struct remains for
-// callers tuning engine fields directly.
-func (m *Manager) SiteScheduler(remotes []scheduler.HostSelector) *scheduler.SiteScheduler {
-	sched := scheduler.NewSiteScheduler(m.Selector, remotes, m.Net, 0)
-	sched.Concurrency = m.cfg.SchedulerConcurrency
-	sched.AvailabilityAware = m.cfg.AvailabilityAware
-	return sched
 }
 
 // Policy resolves the scheduling policy one call should run: the explicit
@@ -453,16 +446,11 @@ func (m *Manager) SchedulePolicy(ctx context.Context, policy string, g *afg.Grap
 	return p.Schedule(ctx, m.policyRequest(g, remotes, m.cfg.SchedulerConcurrency, 0))
 }
 
-// ScheduleBatch schedules many applications concurrently against this site
-// (plus the given remote selectors), sharing the repository and prediction
-// cache across all of them, with the site's default batch options. Results
-// come back in input order.
-func (m *Manager) ScheduleBatch(graphs []*afg.Graph, remotes []scheduler.HostSelector) ([]scheduler.BatchItem, error) {
-	return m.ScheduleBatchOpts(graphs, remotes, BatchOptions{})
-}
-
-// ScheduleBatchOpts is ScheduleBatch with per-call options (the
-// Site.ScheduleBatch RPC surfaces them to clients). It fails fast on an
+// ScheduleBatchOpts schedules many applications concurrently against this
+// site (plus the given remote selectors), sharing the repository and
+// prediction cache across all of them; results come back in input order.
+// The options are per call (the Site.ScheduleBatch RPC surfaces them to
+// clients). It fails fast on an
 // unknown policy name; per-graph failures report through the items.
 // SchedulerConcurrency is one budget, not two: with several graphs in
 // flight it bounds the batch workers and each schedule fans out serially;
@@ -503,6 +491,13 @@ func (m *Manager) ExecuteLocal(ctx context.Context, g *afg.Graph, remotes []sche
 	if resolve == nil {
 		resolve = m.Host
 	}
+	return m.execute(ctx, g, table, resolve, nil)
+}
+
+// execute runs a scheduled application on the site's runtime — with the
+// site's rescheduler, frontier re-planner and monitor deviations wired in
+// — and records the measured task times.
+func (m *Manager) execute(ctx context.Context, g *afg.Graph, table *scheduler.AllocationTable, resolve func(string) *resource.Host, remote func(context.Context, scheduler.Assignment, *afg.Task, []tasklib.Value) (tasklib.Value, error)) (*runtime.Result, *scheduler.AllocationTable, error) {
 	dev, cancelDev := m.SubscribeDeviations()
 	defer cancelDev()
 	res, err := runtime.Execute(ctx, g, table, runtime.Options{
@@ -516,6 +511,7 @@ func (m *Manager) ExecuteLocal(ctx context.Context, g *afg.Graph, remotes []sche
 		FrontierReplan: m.FrontierReplanner(),
 		Deviations:     dev,
 		MaxAttempts:    m.Pool.Len() + 1, // worst case: every other host fails first
+		RemoteExec:     remote,
 	})
 	if err != nil {
 		return res, table, err
@@ -545,16 +541,11 @@ func (m *Manager) recordExecutions(g *afg.Graph, res *runtime.Result) {
 	}
 }
 
-// ExecuteDistributed schedules an application across this site and the
-// given RPC peers, then executes it: tasks assigned locally run on this
-// site's hosts, tasks assigned to a peer are forwarded to that peer's
-// RunTask endpoint — the full multi-process execution path of Fig 6/7.
-func (m *Manager) ExecuteDistributed(ctx context.Context, g *afg.Graph, peers []*RemoteSelector) (*runtime.Result, *scheduler.AllocationTable, error) {
-	return m.ExecuteDistributedPolicy(ctx, g, peers, "")
-}
-
-// ExecuteDistributedPolicy is ExecuteDistributed scheduling under the named
-// policy (empty = the site default).
+// ExecuteDistributedPolicy schedules an application across this site and
+// the given RPC peers under the named policy (empty = the site default),
+// then executes it: tasks assigned locally run on this site's hosts, tasks
+// assigned to a peer are forwarded to that peer's RunTask endpoint — the
+// full multi-process execution path of Fig 6/7.
 func (m *Manager) ExecuteDistributedPolicy(ctx context.Context, g *afg.Graph, peers []*RemoteSelector, policy string) (*runtime.Result, *scheduler.AllocationTable, error) {
 	var remotes []scheduler.HostSelector
 	byName := make(map[string]*RemoteSelector, len(peers))
@@ -566,39 +557,21 @@ func (m *Manager) ExecuteDistributedPolicy(ctx context.Context, g *afg.Graph, pe
 	if err != nil {
 		return nil, nil, err
 	}
-	dev, cancelDev := m.SubscribeDeviations()
-	defer cancelDev()
-	res, err := runtime.Execute(ctx, g, table, runtime.Options{
-		Registry:       m.Registry,
-		Hosts:          m.Host, // local hosts only; remote hosts go via RemoteExec
-		Net:            m.Net,
-		Gate:           m.Gate,
-		UseSockets:     m.cfg.UseSockets,
-		LoadThreshold:  m.cfg.LoadThreshold,
-		Reschedule:     m.Rescheduler(),
-		FrontierReplan: m.FrontierReplanner(),
-		Deviations:     dev,
-		MaxAttempts:    m.Pool.Len() + 1,
-		RemoteExec: func(ctx context.Context, assign scheduler.Assignment, task *afg.Task, inputs []tasklib.Value) (tasklib.Value, error) {
-			peer, ok := byName[assign.Site]
-			if !ok {
-				return tasklib.Value{}, fmt.Errorf("site: no peer for site %q", assign.Site)
+	// Local hosts run here; tasks placed at a peer go to its RunTask.
+	return m.execute(ctx, g, table, m.Host, func(ctx context.Context, assign scheduler.Assignment, task *afg.Task, inputs []tasklib.Value) (tasklib.Value, error) {
+		peer, ok := byName[assign.Site]
+		if !ok {
+			return tasklib.Value{}, fmt.Errorf("site: no peer for site %q", assign.Site)
+		}
+		if m.Net != nil {
+			var bytes int64
+			for _, v := range inputs {
+				bytes += v.SizeBytes()
 			}
-			if m.Net != nil {
-				var bytes int64
-				for _, v := range inputs {
-					bytes += v.SizeBytes()
-				}
-				m.Net.InjectDelay(m.Site, assign.Site, bytes)
-			}
-			return peer.RunTask(assign.Host, task, inputs)
-		},
+			m.Net.InjectDelay(m.Site, assign.Site, bytes)
+		}
+		return peer.RunTask(assign.Host, task, inputs)
 	})
-	if err != nil {
-		return res, table, err
-	}
-	m.recordExecutions(g, res)
-	return res, table, nil
 }
 
 // RunTrialWeights performs the paper's "trial runs ... to obtain the
