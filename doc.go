@@ -16,7 +16,10 @@
 // variants ("eft", "ledger" — the latter with a shared cross-application
 // load ledger), the HEFT and CPOP list-scheduling heuristics of Topcuoglu
 // et al. ("heft", "cpop"), and the naive baselines ("random", "roundrobin",
-// "minload", "fastest"). experiments.PolicyComparison scores them all by
+// "minload", "fastest"). Policy.Schedule is the only way anything in the
+// module schedules a graph, and scheduler.Config is the only place a
+// scheduling knob is set; scheduler.Batch runs one policy over many graphs
+// in one environment. experiments.PolicyComparison scores them all by
 // combined simulated makespan on one workload, and an incremental
 // event-driven simulator (near-linear in tasks and links on realistic
 // allocations) does the scoring at scale. The paper-faithful algorithm
@@ -40,8 +43,12 @@
 // with -ranking-sizes/-ranking-ccrs/-ranking-graphs and -json for
 // machine-readable output); a fixed-seed golden run is committed under
 // internal/experiments/testdata and enforced by a regression test with an
-// -update re-blessing flag. Fuzz targets (FuzzDagenValid, FuzzGraphIndex)
-// pin the generator and dense-index invariants.
+// -update re-blessing flag; a second golden (schedule_golden.json) pins
+// the FIG1, FIG4, FIG5, TAB-SCHED, LEDGER and POLICY outputs. Fuzz targets
+// (FuzzDagenValid, FuzzGraphIndex) pin the generator and dense-index
+// invariants, and a FuzzDecode target per wire decoder (afg.Decode,
+// tasklib.DecodeValue, scheduler.DecodeTable) checks that decoding never
+// panics and that decoded values survive an encode/decode round trip.
 //
 // # Performance
 //

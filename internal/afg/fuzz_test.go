@@ -151,3 +151,46 @@ func FuzzGraphIndex(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecode feeds arbitrary bytes to Decode, the AFG wire decoder every
+// Site Manager runs on multicast and submitted graphs. Decoding must never
+// panic, and a graph that decodes must survive Encode→Decode with an
+// identical encoding. Run the smoke in CI with:
+//
+//	go test -run=NONE -fuzz='^FuzzDecode$' -fuzztime=10s ./internal/afg
+func FuzzDecode(f *testing.F) {
+	g := New("seed")
+	_ = g.AddTask(&Task{ID: "a", Function: "matrix.generate", ComputeCost: 1.5, OutputBytes: 2048,
+		Params: map[string]string{"n": "16"}})
+	_ = g.AddTask(&Task{ID: "b", Function: "matrix.solve", Mode: Parallel, Processors: 2, MachineType: "sgi"})
+	_ = g.AddLink(Link{From: "a", To: "b", Bytes: 128})
+	seed, err := g.Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte(`{"name":"x","tasks":[{"id":"a"},{"id":"b"}],"links":[{"from":"a","to":"b"},{"from":"b","to":"a"}]}`))
+	f.Add([]byte(`{"tasks":[{"id":"a","mode":"vector"}]}`))
+	f.Add([]byte(`null`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := Decode(data)
+		if err != nil {
+			return
+		}
+		enc, err := g.Encode()
+		if err != nil {
+			t.Fatalf("decoded graph does not encode: %v", err)
+		}
+		back, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("re-decode of %s: %v", enc, err)
+		}
+		again, err := back.Encode()
+		if err != nil {
+			t.Fatalf("round-tripped graph does not encode: %v", err)
+		}
+		if string(again) != string(enc) {
+			t.Fatalf("round trip changed the graph:\n%s\nvs\n%s", enc, again)
+		}
+	})
+}

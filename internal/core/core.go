@@ -155,11 +155,12 @@ func (e *Environment) ResolveHost(name string) *resource.Host {
 	return nil
 }
 
-// Scheduler builds the distributed Site Scheduler as seen from localSite:
-// the local selector plus every other site as a remote selector (the
-// in-process equivalent of the AFG multicast; cmd/vdce-server wires the
-// same thing over RPC).
-func (e *Environment) Scheduler(localSite string) (*scheduler.SiteScheduler, error) {
+// Request builds the distributed scheduling problem for g as seen from
+// localSite: the local selector plus every other site as a remote selector
+// (the in-process equivalent of the AFG multicast; cmd/vdce-server wires
+// the same thing over RPC), over the environment's network with its
+// neighbour fan-out K. Schedule it with any registered policy.
+func (e *Environment) Request(localSite string, g *afg.Graph) (*scheduler.Request, error) {
 	local, err := e.Site(localSite)
 	if err != nil {
 		return nil, err
@@ -170,24 +171,18 @@ func (e *Environment) Scheduler(localSite string) (*scheduler.SiteScheduler, err
 			remotes = append(remotes, e.sites[name].Selector)
 		}
 	}
-	return scheduler.NewSiteScheduler(local.Selector, remotes, e.net, e.opts.K), nil
+	return scheduler.NewRequest(g, local.Selector, remotes, e.net, scheduler.WithK(e.opts.K)), nil
 }
 
 // Submit runs the full cycle for an application arriving at localSite:
 // distributed scheduling, then execution across the chosen hosts with the
 // local site's QoS/fault policies.
 func (e *Environment) Submit(ctx context.Context, localSite string, g *afg.Graph) (*runtime.Result, *scheduler.AllocationTable, error) {
-	local, err := e.Site(localSite)
+	req, err := e.Request(localSite, g)
 	if err != nil {
 		return nil, nil, err
 	}
-	var remotes []scheduler.HostSelector
-	for _, name := range e.order {
-		if name != localSite {
-			remotes = append(remotes, e.sites[name].Selector)
-		}
-	}
-	return local.ExecuteLocal(ctx, g, remotes, e.ResolveHost)
+	return e.sites[localSite].ExecuteLocal(ctx, g, req.Remotes, e.ResolveHost)
 }
 
 // HostCount sums hosts across sites.

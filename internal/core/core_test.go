@@ -102,12 +102,16 @@ func TestSubmitUnknownSite(t *testing.T) {
 
 func TestSchedulerConstruction(t *testing.T) {
 	env := newEnv(t, "syracuse", "rome")
-	s, err := env.Scheduler("syracuse")
+	g := workload.Pipeline(5, 0.1, 1024)
+	req, err := env.Request("syracuse", g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := workload.Pipeline(5, 0.1, 1024)
-	table, err := s.Schedule(g)
+	p, err := scheduler.Lookup("faithful")
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := p.Schedule(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}

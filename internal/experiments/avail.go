@@ -81,27 +81,19 @@ func mergeTables(graphs []*afg.Graph, items []scheduler.BatchItem) (*scheduler.A
 	return table, nil
 }
 
-// ledgerConfig is one placement configuration of the LEDGER experiment.
-type ledgerConfig struct {
-	name   string
-	avail  bool
-	ledger bool
-}
-
-// runLedgerConfig schedules graphs under one configuration against fresh
+// runLedgerConfig schedules graphs under one site policy against fresh
 // (seed-identical) site repositories and returns the combined simulated
 // makespan plus the scheduling wall time.
-func runLedgerConfig(seed int64, cfg ledgerConfig, graphs []*afg.Graph) (mk, wall float64, err error) {
-	sched, _, repos := scaleScheduler(seed, true, 1)
-	sched.AvailabilityAware = cfg.avail
-	// Serial batch for every configuration: the ledger path needs it for
+func runLedgerConfig(seed int64, policy string, graphs []*afg.Graph) (mk, wall float64, err error) {
+	// Serial batch for every policy: the ledger path needs it for
 	// determinism (each graph sees exactly the reservations of the graphs
 	// before it; with concurrent workers the spreading still happens, but
 	// the tables depend on completion order), and the others match so the
-	// per-config wall times compare placement modes, not worker counts.
-	b := &scheduler.Batch{Scheduler: sched, Workers: 1}
-	if cfg.ledger {
-		b.Ledger = scheduler.NewLoadLedger()
+	// per-policy wall times compare placement modes, not worker counts.
+	// The batch supplies the "ledger" policy's shared ledger.
+	b, _, repos, err := scaleBatch(seed, true, policy, 1, 1)
+	if err != nil {
+		return 0, 0, err
 	}
 	t0 := time.Now()
 	items := b.Schedule(graphs)
@@ -109,11 +101,11 @@ func runLedgerConfig(seed int64, cfg ledgerConfig, graphs []*afg.Graph) (mk, wal
 
 	merged, table, err := mergeForSimulation(graphs, items)
 	if err != nil {
-		return 0, 0, fmt.Errorf("%s: %w", cfg.name, err)
+		return 0, 0, fmt.Errorf("%s: %w", policy, err)
 	}
 	mk, err = scheduler.Simulate(merged, table, truthFromRepos(repos), nil)
 	if err != nil {
-		return 0, 0, fmt.Errorf("%s: simulate: %w", cfg.name, err)
+		return 0, 0, fmt.Errorf("%s: simulate: %w", policy, err)
 	}
 	return mk, wall, nil
 }
@@ -145,19 +137,14 @@ func AvailabilityScheduling(seed int64) (*Result, error) {
 		XLabel:  "config", // 1 = faithful, 2 = EFT no ledger, 3 = EFT shared ledger
 		YLabels: []string{"combined_makespan_s", "sched_wall_s"},
 	}
-	configs := []ledgerConfig{
-		{"faithful", false, false},
-		{"eft", true, false},
-		{"ledger", true, true},
-	}
 	graphs := scaleGraphSet(seed)
-	for ci, cfg := range configs {
-		mk, wall, err := runLedgerConfig(seed, cfg, graphs)
+	for ci, policy := range []string{"faithful", "eft", "ledger"} {
+		mk, wall, err := runLedgerConfig(seed, policy, graphs)
 		if err != nil {
 			return nil, fmt.Errorf("ledger: %w", err)
 		}
 		res.Series.Rows = append(res.Series.Rows, []float64{float64(ci + 1), mk, wall})
-		res.Metrics["makespan_"+cfg.name] = mk
+		res.Metrics["makespan_"+policy] = mk
 	}
 	res.Metrics["ledger_over_faithful"] =
 		res.Metrics["makespan_faithful"] / res.Metrics["makespan_ledger"]

@@ -167,7 +167,7 @@ func churnCell(cfg ChurnConfig, r rankingRun, names []string, policy scheduler.P
 		CommBandwidth: policyWANBand,
 		Seed:          cellSeed,
 	})
-	items := (&scheduler.Batch{Scheduler: scheduler.Bind(policy, env), Workers: 1}).
+	items := (&scheduler.Batch{Policy: policy, Env: env, Workers: 1}).
 		Schedule([]*afg.Graph{g})
 	if items[0].Err != nil {
 		return ChurnCell{}, fmt.Errorf("churn: %s on v=%d ccr=%g: %w", cfg.Policy, r.size, r.ccr, items[0].Err)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -12,6 +13,15 @@ import (
 	"repro/internal/resource"
 	"repro/internal/scheduler"
 )
+
+// schedule runs the named registered policy on req.
+func schedule(policy string, req *scheduler.Request) (*scheduler.AllocationTable, error) {
+	p, err := scheduler.Lookup(policy)
+	if err != nil {
+		return nil, err
+	}
+	return p.Schedule(context.Background(), req)
+}
 
 // repoSite builds a repository for a homogeneous-speed site with uniform
 // random loads in [0, loadMax).

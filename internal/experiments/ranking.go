@@ -199,7 +199,7 @@ func rankingCell(cfg RankingConfig, r rankingRun, names []string, policies []sch
 	for pi, name := range names {
 		// One-graph serial batch, like POLICY: the batch path supplies
 		// the ledger policy's shared ledger.
-		items := (&scheduler.Batch{Scheduler: scheduler.Bind(policies[pi], env), Workers: 1}).
+		items := (&scheduler.Batch{Policy: policies[pi], Env: env, Workers: 1}).
 			Schedule([]*afg.Graph{g})
 		if items[0].Err != nil {
 			return RankingCell{}, fmt.Errorf("ranking: %s on v=%d ccr=%g: %w", name, r.size, r.ccr, items[0].Err)

@@ -69,14 +69,17 @@ func scaleSelectors(seed int64, cached bool) (local *scheduler.LocalSelector, re
 	return local, remotes, caches, repos
 }
 
-// scaleScheduler assembles the multi-site Site Scheduler over the
-// scaleSelectors environment; concurrency is the fan-out worker bound
-// (1 = the serial path).
-func scaleScheduler(seed int64, cached bool, concurrency int) (*scheduler.SiteScheduler, []*predict.Cache, map[string]*repository.Repository) {
+// scaleBatch assembles a batch of the named policy over the scaleSelectors
+// environment; concurrency is the per-schedule fan-out worker bound and
+// workers the batch worker bound (1 and 1 = the serial path).
+func scaleBatch(seed int64, cached bool, policy string, concurrency, workers int) (*scheduler.Batch, []*predict.Cache, map[string]*repository.Repository, error) {
+	p, err := scheduler.Lookup(policy)
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	local, remotes, caches, repos := scaleSelectors(seed, cached)
-	s := scheduler.NewSiteScheduler(local, remotes, nil, 0)
-	s.Concurrency = concurrency
-	return s, caches, repos
+	env := scheduler.NewRequest(nil, local, remotes, nil, scheduler.WithConcurrency(concurrency))
+	return &scheduler.Batch{Policy: p, Env: *env, Workers: workers}, caches, repos, nil
 }
 
 func scaleGraphSet(seed int64) []*afg.Graph {
@@ -135,16 +138,22 @@ func ScaleScheduling(seed int64) (*Result, error) {
 	}
 
 	// Serial path: no cache, fan-out bound 1, one graph at a time.
-	serial, _, _ := scaleScheduler(seed, false, 1)
+	serial, _, _, err := scaleBatch(seed, false, "faithful", 1, 1)
+	if err != nil {
+		return nil, err
+	}
 	t0 := time.Now()
-	serialItems := scheduler.ScheduleBatch(serial, graphs, 1)
+	serialItems := serial.Schedule(graphs)
 	serialSec := time.Since(t0).Seconds()
 
 	// Concurrent path: prediction caches, GOMAXPROCS fan-out and batch
 	// workers, all graphs in flight against shared site state.
-	conc, caches, _ := scaleScheduler(seed, true, 0)
+	conc, caches, _, err := scaleBatch(seed, true, "faithful", 0, 0)
+	if err != nil {
+		return nil, err
+	}
 	t1 := time.Now()
-	concItems := (&scheduler.Batch{Scheduler: conc}).Schedule(graphs)
+	concItems := conc.Schedule(graphs)
 	concSec := time.Since(t1).Seconds()
 
 	for i := range graphs {

@@ -21,8 +21,7 @@ type scheduleGoldenExperiment struct {
 // isTiming reports whether a column label or metric key is a wall-clock
 // measurement, which no golden can pin.
 func isTiming(label string) bool {
-	return strings.Contains(label, "wall") || strings.HasSuffix(label, "_ms") ||
-		label == "serial_s" || label == "concurrent_s"
+	return strings.Contains(label, "wall") || strings.HasSuffix(label, "_ms")
 }
 
 // scheduleGoldenRun runs the experiments that exercise the Site Scheduler,

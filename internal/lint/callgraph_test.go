@@ -128,7 +128,7 @@ func TestCallGraphGolden(t *testing.T) {
 	}{
 		// The name→Policy registry dispatch: every scheduling heuristic in
 		// the module.
-		{"boundPolicy).Schedule", "Schedule", []string{
+		{"scheduler.Batch).Schedule", "Schedule", []string{
 			"(repro/internal/scheduler.baselinePolicy).Schedule",
 			"(repro/internal/scheduler.cpopPolicy).Schedule",
 			"(repro/internal/scheduler.heftPolicy).Schedule",
@@ -136,7 +136,7 @@ func TestCallGraphGolden(t *testing.T) {
 		}},
 		// The Site Scheduler's multicast: the in-process selector and the
 		// RPC stub.
-		{"SiteScheduler).collectSelections", "SelectHosts", []string{
+		{"siteEngine).collectSelections", "SelectHosts", []string{
 			"(*repro/internal/scheduler.LocalSelector).SelectHosts",
 			"(*repro/internal/site.RemoteSelector).SelectHosts",
 		}},

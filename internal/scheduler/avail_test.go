@@ -33,7 +33,7 @@ func TestAvailabilityAwareOverflowsToSlowSite(t *testing.T) {
 	g := wideGraph(12, 5)
 
 	faithful, _, _, net := twoSiteSetup(t, time.Millisecond)
-	ft, err := faithful.Schedule(g)
+	ft, err := runPolicy(t, "faithful", faithful, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +43,7 @@ func TestAvailabilityAwareOverflowsToSlowSite(t *testing.T) {
 	}
 
 	eft, _, _, net2 := twoSiteSetup(t, time.Millisecond)
-	eft.AvailabilityAware = true
-	et, err := eft.Schedule(g)
+	et, err := runPolicy(t, "eft", eft, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,13 +73,12 @@ func TestAvailabilityAwareOverflowsToSlowSite(t *testing.T) {
 // with its parent when shipping the input would dominate, exactly like the
 // transfer-aware faithful mode.
 func TestAvailabilityAwareChargesTransferWait(t *testing.T) {
-	s, _, _, _ := twoSiteSetup(t, 2*time.Second)
-	s.AvailabilityAware = true
+	req, _, _, _ := twoSiteSetup(t, 2*time.Second)
 	g := afg.New("app")
 	g.AddTask(&afg.Task{ID: "parent", Function: "f", ComputeCost: 10})
 	g.AddTask(&afg.Task{ID: "child", Function: "f", ComputeCost: 0.1})
 	g.AddLink(afg.Link{From: "parent", To: "child", Bytes: 100 << 20})
-	table, err := s.Schedule(g)
+	table, err := runPolicy(t, "eft", req, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,31 +93,31 @@ func TestAvailabilityAwareChargesTransferWait(t *testing.T) {
 // ledger, every application's walk deterministically picks the same
 // (tie-broken) site; with one, later applications see the reserved busy
 // seconds and divert.
-func ledgerSetup(t *testing.T) *SiteScheduler {
+func ledgerSetup(t *testing.T) *Request {
 	t.Helper()
 	a := makeRepo(t, "sa", map[string][2]float64{"sa-1": {1, 0}})
 	b := makeRepo(t, "sb", map[string][2]float64{"sb-1": {1, 0}})
-	s := NewSiteScheduler(
+	return NewRequest(nil,
 		&LocalSelector{Site: "sa", Repo: a},
 		[]HostSelector{&LocalSelector{Site: "sb", Repo: b}},
-		nil, 0)
-	s.AvailabilityAware = true
-	return s
+		nil)
 }
 
 func TestBatchLedgerSpreadsApplications(t *testing.T) {
 	graphs := []*afg.Graph{wideGraph(1, 4), wideGraph(1, 4)}
 
-	s := ledgerSetup(t)
-	plain := (&Batch{Scheduler: s, Workers: 1}).Schedule(graphs)
+	eft, err := Lookup("eft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := (&Batch{Policy: eft, Env: *ledgerSetup(t), Workers: 1}).Schedule(graphs)
 	pa, _ := plain[0].Table.Get("a")
 	pb, _ := plain[1].Table.Get("a")
 	if pa.Host != pb.Host {
 		t.Fatalf("ledger-free batch should dog-pile deterministically: %q vs %q", pa.Host, pb.Host)
 	}
 
-	s = ledgerSetup(t)
-	led := (&Batch{Scheduler: s, Workers: 1, Ledger: NewLoadLedger()}).Schedule(graphs)
+	led := (&Batch{Policy: eft, Env: *ledgerSetup(t), Workers: 1, Ledger: NewLoadLedger()}).Schedule(graphs)
 	if led[0].Err != nil || led[1].Err != nil {
 		t.Fatalf("ledger batch errored: %v / %v", led[0].Err, led[1].Err)
 	}
@@ -133,13 +131,13 @@ func TestBatchLedgerSpreadsApplications(t *testing.T) {
 // TestLedgerErrorPathReleasesReservations: a walk that dies mid-graph must
 // give back what it reserved, or the ledger slowly poisons every host.
 func TestLedgerErrorPathReleasesReservations(t *testing.T) {
-	s := ledgerSetup(t)
+	req := ledgerSetup(t)
 	ledger := NewLoadLedger()
-	s.Ledger = ledger
+	req.Config.Ledger = ledger
 	g := afg.New("half")
 	g.AddTask(&afg.Task{ID: "ok", Function: "f", ComputeCost: 3})
 	g.AddTask(&afg.Task{ID: "bad", Function: "f", ComputeCost: 3, MachineType: "cray"})
-	if _, err := s.Schedule(g); err == nil {
+	if _, err := runPolicy(t, "eft", req, g); err == nil {
 		t.Fatal("unschedulable graph accepted")
 	}
 	for _, h := range []string{"sa-1", "sb-1"} {
@@ -177,15 +175,20 @@ func TestLoadLedgerAccounting(t *testing.T) {
 	}
 }
 
-// TestLocalSelectorAvailabilityAware: the selector's own walk switches
+// TestLocalSelectorAvailabilityAware: the selector's eft walk switches
 // from queued-load bumps to a host-free timeline — the fast host absorbs
 // work until its backlog matches the slow host's single-task time.
 func TestLocalSelectorAvailabilityAware(t *testing.T) {
 	repo := makeRepo(t, "syr", map[string][2]float64{
 		"fast": {4, 0}, "slow": {1, 0},
 	})
-	sel := &LocalSelector{Site: "syr", Repo: repo, AvailabilityAware: true}
-	choices, err := sel.SelectHosts(wideGraph(5, 4))
+	sel := &LocalSelector{Site: "syr", Repo: repo}
+	g := wideGraph(5, 4)
+	ix, err := g.Index()
+	if err != nil {
+		t.Fatal(err)
+	}
+	choices, err := sel.selectHosts(ix, g, hostWalk{eft: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,10 +209,13 @@ func TestLocalSelectorAvailabilityAware(t *testing.T) {
 // table; placement then legitimately depends on completion order, so only
 // completeness is asserted.
 func TestConcurrentLedgerBatchIsComplete(t *testing.T) {
-	s, _ := multiSiteScheduler(t, 6, true)
-	s.AvailabilityAware = true
+	env, _ := multiSiteEnv(t, 6, true)
+	eft, err := Lookup("eft")
+	if err != nil {
+		t.Fatal(err)
+	}
 	graphs := randomGraphs(12, 30, 17)
-	items := (&Batch{Scheduler: s, Workers: 6, Ledger: NewLoadLedger()}).Schedule(graphs)
+	items := (&Batch{Policy: eft, Env: *env, Workers: 6, Ledger: NewLoadLedger()}).Schedule(graphs)
 	for i, it := range items {
 		if it.Err != nil {
 			t.Fatalf("graph %d: %v", i, it.Err)

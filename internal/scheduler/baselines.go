@@ -2,24 +2,17 @@ package scheduler
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"repro/internal/afg"
 	"repro/internal/repository"
 )
 
-// Baseline schedulers for the evaluation benchmarks. Each implements the
-// same contract as the Site Scheduler — an AFG in, an allocation table out —
-// but replaces the prediction-driven placement with a naive policy, which is
-// what the paper's scheduling claims are measured against.
-
-// Scheduler is anything that can map an AFG to resources.
-type Scheduler interface {
-	Schedule(g *afg.Graph) (*AllocationTable, error)
-}
+// Baseline policies for the evaluation benchmarks. Each maps an AFG to an
+// allocation table like the Site Scheduler, but replaces the
+// prediction-driven placement with a naive rule, which is what the paper's
+// scheduling claims are measured against.
 
 // hostList flattens repositories into (site, host) pairs with static data.
 type hostEntry struct {
@@ -46,145 +39,27 @@ func collectHosts(sites map[string]*repository.Repository) []hostEntry {
 	return out
 }
 
-// RandomScheduler assigns every task to a uniformly random up host.
-type RandomScheduler struct {
-	Sites map[string]*repository.Repository
-	Seed  int64
-}
-
-// Schedule implements Scheduler.
-func (r *RandomScheduler) Schedule(g *afg.Graph) (*AllocationTable, error) {
-	hosts := collectHosts(r.Sites)
-	if len(hosts) == 0 {
-		return nil, ErrNoEligibleHost
-	}
-	rng := rand.New(rand.NewSource(r.Seed))
-	table := NewAllocationTable(g.Name)
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	for _, id := range order {
-		h := hosts[rng.Intn(len(hosts))]
-		table.Set(Assignment{Task: id, Site: h.site, Host: h.host, Hosts: []string{h.host}})
-	}
-	return table, nil
-}
-
-// RoundRobinScheduler cycles through hosts in name order. The cursor is
-// mutex-guarded so concurrent batch scheduling stays race-free (though the
-// offset each graph starts at then depends on completion order).
-type RoundRobinScheduler struct {
-	Sites map[string]*repository.Repository
-
-	mu   sync.Mutex
-	next int
-}
-
-// Schedule implements Scheduler.
-func (r *RoundRobinScheduler) Schedule(g *afg.Graph) (*AllocationTable, error) {
-	hosts := collectHosts(r.Sites)
-	if len(hosts) == 0 {
-		return nil, ErrNoEligibleHost
-	}
-	table := NewAllocationTable(g.Name)
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, id := range order {
-		h := hosts[r.next%len(hosts)]
-		r.next++
-		table.Set(Assignment{Task: id, Site: h.site, Host: h.host, Hosts: []string{h.host}})
-	}
-	return table, nil
-}
-
-// MinLoadScheduler greedily places each task on the host with the lowest
-// recorded load, ignoring heterogeneity (speed/weights) and transfers. It
-// tracks its own placements so it does not dog-pile one idle host.
-type MinLoadScheduler struct {
-	Sites map[string]*repository.Repository
-}
-
-// Schedule implements Scheduler.
-func (m *MinLoadScheduler) Schedule(g *afg.Graph) (*AllocationTable, error) {
-	hosts := collectHosts(m.Sites)
-	if len(hosts) == 0 {
-		return nil, ErrNoEligibleHost
-	}
-	load := make([]float64, len(hosts))
-	for i, h := range hosts {
-		load[i] = h.rec.Dynamic.Load
-	}
-	table := NewAllocationTable(g.Name)
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	for _, id := range order {
-		best := 0
-		for i := range hosts {
-			if load[i] < load[best] {
-				best = i
-			}
-		}
-		load[best]++ // a placed task adds one load unit
-		h := hosts[best]
-		table.Set(Assignment{Task: id, Site: h.site, Host: h.host, Hosts: []string{h.host}})
-	}
-	return table, nil
-}
-
-// FastestHostScheduler puts every task on the host with the highest static
-// speed factor — the "prediction-blind" policy that ignores load entirely.
-type FastestHostScheduler struct {
-	Sites map[string]*repository.Repository
-}
-
-// Schedule implements Scheduler.
-func (f *FastestHostScheduler) Schedule(g *afg.Graph) (*AllocationTable, error) {
-	hosts := collectHosts(f.Sites)
-	if len(hosts) == 0 {
-		return nil, ErrNoEligibleHost
-	}
-	best := 0
-	for i, h := range hosts {
-		if h.rec.Static.SpeedFactor > hosts[best].rec.Static.SpeedFactor {
-			best = i
-		}
-	}
-	table := NewAllocationTable(g.Name)
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	h := hosts[best]
-	for _, id := range order {
-		table.Set(Assignment{Task: id, Site: h.site, Host: h.host, Hosts: []string{h.host}})
-	}
-	return table, nil
-}
-
 // FIFOPriority is the level-priority ablation: ready tasks in plain id
-// order, ignoring levels. Install it as SiteScheduler.Priority to measure
-// what the paper's level rule buys.
+// order, ignoring levels. Install it with WithPriority to measure what the
+// paper's level rule buys.
 func FIFOPriority(ids []afg.TaskID, _ map[afg.TaskID]float64) []afg.TaskID {
 	out := append([]afg.TaskID(nil), ids...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-// baselinePolicy exposes the naive schedulers through the policy registry.
+// baselinePolicy exposes the naive rules through the policy registry.
 // Host inventories come from the request's site repositories (the explicit
 // Sites map, or any in-process LocalSelector); remote-only deployments see
-// just the hosts their RPC peers expose locally. Each Schedule call builds
-// a fresh scheduler, so the round-robin cursor restarts per application and
-// the random policy is a pure function of Config.Seed.
+// just the hosts their RPC peers expose locally. Every call starts afresh,
+// so the round-robin cursor restarts per application and the random policy
+// is a pure function of Config.Seed. Tasks are placed in topological order,
+// each on one host.
 type baselinePolicy struct {
 	kind string
+	// pick returns the per-task host chooser for one schedule: each call
+	// of the chooser yields the index into hosts for the next task.
+	pick func(hosts []hostEntry, seed int64) func() int
 }
 
 // Name implements Policy.
@@ -199,18 +74,67 @@ func (b baselinePolicy) Schedule(ctx context.Context, req *Request) (*Allocation
 	if len(sites) == 0 {
 		return nil, ErrNoSites
 	}
-	var s Scheduler
-	switch b.kind {
-	case "random":
-		s = &RandomScheduler{Sites: sites, Seed: req.Config.Seed}
-	case "roundrobin":
-		s = &RoundRobinScheduler{Sites: sites}
-	case "minload":
-		s = &MinLoadScheduler{Sites: sites}
-	case "fastest":
-		s = &FastestHostScheduler{Sites: sites}
-	default:
-		return nil, fmt.Errorf("%w %q", ErrUnknownPolicy, b.kind)
+	hosts := collectHosts(sites)
+	if len(hosts) == 0 {
+		return nil, ErrNoEligibleHost
 	}
-	return s.Schedule(req.Graph)
+	next := b.pick(hosts, req.Config.Seed)
+	order, err := req.Graph.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+	table := NewAllocationTable(req.Graph.Name)
+	for _, id := range order {
+		h := hosts[next()]
+		table.Set(Assignment{Task: id, Site: h.site, Host: h.host, Hosts: []string{h.host}})
+	}
+	return table, nil
+}
+
+// pickRandom draws a uniformly random up host per task.
+func pickRandom(hosts []hostEntry, seed int64) func() int {
+	rng := rand.New(rand.NewSource(seed))
+	return func() int { return rng.Intn(len(hosts)) }
+}
+
+// pickRoundRobin cycles through the hosts in (site, name) order.
+func pickRoundRobin(hosts []hostEntry, _ int64) func() int {
+	next := 0
+	return func() int {
+		i := next % len(hosts)
+		next++
+		return i
+	}
+}
+
+// pickMinLoad greedily takes the host with the lowest recorded load,
+// ignoring heterogeneity (speed/weights) and transfers. It counts its own
+// placements — one load unit each — so it does not dog-pile one idle host.
+func pickMinLoad(hosts []hostEntry, _ int64) func() int {
+	load := make([]float64, len(hosts))
+	for i, h := range hosts {
+		load[i] = h.rec.Dynamic.Load
+	}
+	return func() int {
+		best := 0
+		for i := range hosts {
+			if load[i] < load[best] {
+				best = i
+			}
+		}
+		load[best]++
+		return best
+	}
+}
+
+// pickFastest puts every task on the host with the highest static speed
+// factor — the "prediction-blind" rule that ignores load entirely.
+func pickFastest(hosts []hostEntry, _ int64) func() int {
+	best := 0
+	for i, h := range hosts {
+		if h.rec.Static.SpeedFactor > hosts[best].rec.Static.SpeedFactor {
+			best = i
+		}
+	}
+	return func() int { return best }
 }

@@ -13,9 +13,9 @@ import (
 	"repro/internal/repository"
 )
 
-// multiSiteScheduler builds an n-site scheduler over fresh repositories;
-// cached attaches a prediction cache to every selector.
-func multiSiteScheduler(t testing.TB, n int, cached bool) (*SiteScheduler, []*LocalSelector) {
+// multiSiteEnv builds an n-site scheduling environment over fresh
+// repositories; cached attaches a prediction cache to every selector.
+func multiSiteEnv(t testing.TB, n int, cached bool) (*Request, []*LocalSelector) {
 	t.Helper()
 	var sels []*LocalSelector
 	mk := func(i int) *LocalSelector {
@@ -37,7 +37,17 @@ func multiSiteScheduler(t testing.TB, n int, cached bool) (*SiteScheduler, []*Lo
 	for i := 1; i < n; i++ {
 		remotes = append(remotes, mk(i))
 	}
-	return NewSiteScheduler(local, remotes, nil, 0), sels
+	return NewRequest(nil, local, remotes, nil), sels
+}
+
+// scheduleBatch runs graphs through a Batch of the named policy in env.
+func scheduleBatch(t testing.TB, name string, env *Request, graphs []*afg.Graph, workers int) []BatchItem {
+	t.Helper()
+	p, err := Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return (&Batch{Policy: p, Env: *env, Workers: workers}).Schedule(graphs)
 }
 
 func randomGraphs(n, tasks int, seed int64) []*afg.Graph {
@@ -86,16 +96,16 @@ func assertSameTable(t *testing.T, want, got *AllocationTable) {
 // exactly the allocation table the serial walk produces.
 func TestConcurrentFanOutMatchesSerial(t *testing.T) {
 	graphs := randomGraphs(4, 40, 7)
-	serial, _ := multiSiteScheduler(t, 8, false)
-	serial.Concurrency = 1
-	conc, _ := multiSiteScheduler(t, 8, true)
-	conc.Concurrency = 4
+	serial, _ := multiSiteEnv(t, 8, false)
+	serial.Config.Concurrency = 1
+	conc, _ := multiSiteEnv(t, 8, true)
+	conc.Config.Concurrency = 4
 	for i, g := range graphs {
-		want, err := serial.Schedule(g)
+		want, err := runPolicy(t, "faithful", serial, g)
 		if err != nil {
 			t.Fatalf("serial graph %d: %v", i, err)
 		}
-		got, err := conc.Schedule(g)
+		got, err := runPolicy(t, "faithful", conc, g)
 		if err != nil {
 			t.Fatalf("concurrent graph %d: %v", i, err)
 		}
@@ -210,9 +220,9 @@ func TestCacheDoesNotBakeInForecast(t *testing.T) {
 // worker count does not change any table.
 func TestBatchSchedulesInInputOrder(t *testing.T) {
 	graphs := randomGraphs(9, 25, 3)
-	s, _ := multiSiteScheduler(t, 4, true)
-	serialItems := ScheduleBatch(s, graphs, 1)
-	concItems := ScheduleBatch(s, graphs, 8)
+	env, _ := multiSiteEnv(t, 4, true)
+	serialItems := scheduleBatch(t, "faithful", env, graphs, 1)
+	concItems := scheduleBatch(t, "faithful", env, graphs, 8)
 	if len(serialItems) != len(graphs) || len(concItems) != len(graphs) {
 		t.Fatalf("item counts %d/%d, want %d", len(serialItems), len(concItems), len(graphs))
 	}
@@ -233,8 +243,8 @@ func TestBatchReportsPerItemErrors(t *testing.T) {
 	bad := afg.New("bad")
 	bad.AddTask(&afg.Task{ID: "x", Function: "f", MachineType: "cray", ComputeCost: 1})
 	graphs[1] = bad
-	s, _ := multiSiteScheduler(t, 2, false)
-	items := ScheduleBatch(s, graphs, 4)
+	env, _ := multiSiteEnv(t, 2, false)
+	items := scheduleBatch(t, "faithful", env, graphs, 4)
 	if items[0].Err != nil || items[2].Err != nil {
 		t.Fatalf("good graphs errored: %v / %v", items[0].Err, items[2].Err)
 	}
@@ -247,8 +257,8 @@ func TestBatchReportsPerItemErrors(t *testing.T) {
 // the fan-out worker pool against live repository updates and cache
 // invalidations — the -race exercise for the whole concurrent subsystem.
 func TestConcurrentSchedulingUnderMonitorUpdates(t *testing.T) {
-	s, sels := multiSiteScheduler(t, 6, true)
-	s.Concurrency = 4
+	env, sels := multiSiteEnv(t, 6, true)
+	env.Config.Concurrency = 4
 	graphs := randomGraphs(8, 30, 13)
 
 	stop := make(chan struct{})
@@ -273,7 +283,7 @@ func TestConcurrentSchedulingUnderMonitorUpdates(t *testing.T) {
 		}
 	}()
 
-	items := ScheduleBatch(s, graphs, 4)
+	items := scheduleBatch(t, "faithful", env, graphs, 4)
 	close(stop)
 	wg.Wait()
 	for i, it := range items {

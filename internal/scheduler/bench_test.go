@@ -40,21 +40,21 @@ func BenchmarkHostSelection64Tasks16Hosts(b *testing.B) {
 }
 
 func BenchmarkSiteSchedule64Tasks2Sites(b *testing.B) {
-	s, _, _, _ := twoSiteSetup(b, 10*time.Millisecond)
+	req, _, _, _ := twoSiteSetup(b, 10*time.Millisecond)
 	g := benchGraph(64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Schedule(g); err != nil {
+		if _, err := runPolicy(b, "faithful", req, g); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkSimulate64Tasks(b *testing.B) {
-	s, _, _, net := twoSiteSetup(b, 10*time.Millisecond)
+	req, _, _, net := twoSiteSetup(b, 10*time.Millisecond)
 	g := benchGraph(64)
-	table, err := s.Schedule(g)
+	table, err := runPolicy(b, "faithful", req, g)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -209,8 +209,8 @@ func noSitesErr(transient []SiteError) error {
 // batched gather per (graph, environment) instead of one per policy per
 // graph. Keys are graph identities, so a cache must not outlive its
 // environment — a repository or network change invalidates every entry.
-// Batch installs one automatically for Bind-wrapped policies; comparison
-// harnesses share one across policies explicitly (WithCostCache).
+// Batch installs one automatically per batch; comparison harnesses share
+// one across policies explicitly (WithCostCache).
 type CostCache struct {
 	mu sync.Mutex
 	m  map[*afg.Graph]*CostMatrix

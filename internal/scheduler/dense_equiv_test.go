@@ -199,15 +199,15 @@ func TestDenseSiteWalksMatchOracle(t *testing.T) {
 			req, repos, net := equivEnv(t, seed)
 			g := equivGraph(t, 120, 8, seed)
 
-			s := &SiteScheduler{
-				Local: req.Local, Remotes: req.Remotes, Net: net,
-				TransferAware: true, AvailabilityAware: avail, Concurrency: 1,
-			}
-			dense, err := s.run(g)
+			req.Config.Concurrency = 1
+			dense, err := runPolicy(t, name, req, g)
 			if err != nil {
 				t.Fatalf("%s seed %d: dense: %v", name, seed, err)
 			}
-			want, err := oracleSiteRun(s, g)
+			want, err := oracleSiteRun(&oracleSite{
+				Local: req.Local, Remotes: req.Remotes, Net: net,
+				TransferAware: true, EFT: avail,
+			}, g)
 			if err != nil {
 				t.Fatalf("%s seed %d: oracle: %v", name, seed, err)
 			}
@@ -226,19 +226,16 @@ func TestDenseLedgerPolicyMatchesOracle(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		g := equivGraph(t, 80, 10, seed)
 
-		ds := &SiteScheduler{
-			Local: req.Local, Remotes: req.Remotes, Net: net,
-			TransferAware: true, AvailabilityAware: true, Ledger: denseLedger, Concurrency: 1,
-		}
-		dense, err := ds.run(g)
+		dreq := *req
+		dreq.Config.Ledger, dreq.Config.Concurrency = denseLedger, 1
+		dense, err := runPolicy(t, "ledger", &dreq, g)
 		if err != nil {
 			t.Fatalf("seed %d: dense: %v", seed, err)
 		}
-		os := &SiteScheduler{
+		want, err := oracleSiteRun(&oracleSite{
 			Local: req.Local, Remotes: req.Remotes, Net: net,
-			TransferAware: true, AvailabilityAware: true, Ledger: oracleLedger, Concurrency: 1,
-		}
-		want, err := oracleSiteRun(os, g)
+			TransferAware: true, EFT: true, Ledger: oracleLedger,
+		}, g)
 		if err != nil {
 			t.Fatalf("seed %d: oracle: %v", seed, err)
 		}
@@ -293,34 +290,46 @@ func TestDenseHEFTSharedHostNameAcrossSites(t *testing.T) {
 	}
 }
 
-// The dense per-site selector walk against the public map walk.
+// The dense per-site selector walk (in every mode, under the level rule
+// and a custom priority) against the retained map-keyed walk, and the
+// RPC-facing SelectHosts against the map walk's default mode.
 func TestSelectHostsDenseMatchesMap(t *testing.T) {
 	for _, avail := range []bool{false, true} {
-		for seed := int64(1); seed <= 4; seed++ {
-			req, _, _ := equivEnv(t, seed)
-			g := equivGraph(t, 100, 8, seed)
-			ix, err := g.Index()
-			if err != nil {
-				t.Fatal(err)
-			}
-			sel := req.Local.(*LocalSelector)
-			c := *sel
-			c.AvailabilityAware = avail
-			denseOut, err := c.selectHostsDense(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mapOut, err := c.SelectHosts(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(mapOut) != ix.Len() {
-				t.Fatalf("map walk covered %d of %d tasks", len(mapOut), ix.Len())
-			}
-			for id, want := range mapOut {
-				got := denseOut[ix.Of(id)]
-				if got.Site != want.Site || got.Host != want.Host || got.Predicted != want.Predicted {
-					t.Fatalf("avail=%v seed %d: task %q: dense %+v vs map %+v", avail, seed, id, got, want)
+		for _, prio := range []PriorityFunc{nil, FIFOPriority} {
+			for seed := int64(1); seed <= 4; seed++ {
+				req, _, _ := equivEnv(t, seed)
+				g := equivGraph(t, 100, 8, seed)
+				ix, err := g.Index()
+				if err != nil {
+					t.Fatal(err)
+				}
+				sel := req.Local.(*LocalSelector)
+				denseOut, err := sel.selectHosts(ix, g, hostWalk{eft: avail, prio: prio})
+				if err != nil {
+					t.Fatal(err)
+				}
+				oracle := &oracleSelector{LocalSelector: sel, EFT: avail, Priority: prio}
+				mapOut, err := oracle.SelectHosts(g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(mapOut) != ix.Len() {
+					t.Fatalf("map walk covered %d of %d tasks", len(mapOut), ix.Len())
+				}
+				var rpcOut map[afg.TaskID]Choice
+				if !avail && prio == nil {
+					if rpcOut, err = sel.SelectHosts(g); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for id, want := range mapOut {
+					got := denseOut[ix.Of(id)]
+					if got.Site != want.Site || got.Host != want.Host || got.Predicted != want.Predicted {
+						t.Fatalf("avail=%v fifo=%v seed %d: task %q: dense %+v vs map %+v", avail, prio != nil, seed, id, got, want)
+					}
+					if rpc, ok := rpcOut[id]; rpcOut != nil && (!ok || rpc.Host != want.Host || rpc.Predicted != want.Predicted) {
+						t.Fatalf("seed %d: task %q: SelectHosts %+v vs map %+v", seed, id, rpc, want)
+					}
 				}
 			}
 		}

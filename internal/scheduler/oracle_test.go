@@ -537,10 +537,76 @@ func oracleCriticalHost(cands map[afg.TaskID][]Choice, cp map[afg.TaskID]bool) m
 	return map[string]bool{bestHost: true}
 }
 
+// oracleSelector is the original map-keyed Fig 5 walk
+// (LocalSelector.SelectHosts before the dense walk replaced it), with the
+// mode fields the selector used to carry.
+type oracleSelector struct {
+	*LocalSelector
+	EFT      bool // the former AvailabilityAware mode
+	Ledger   *LoadLedger
+	Priority PriorityFunc
+}
+
+// SelectHosts implements HostSelector.
+func (s *oracleSelector) SelectHosts(g *afg.Graph) (map[afg.TaskID]Choice, error) {
+	var gens map[string]uint64
+	if s.Cache != nil {
+		gens = s.Cache.Generations()
+	}
+	resources := s.Repo.Resources.List()
+	levels, err := g.Levels()
+	if err != nil {
+		return nil, err
+	}
+	prio := s.Priority
+	if prio == nil {
+		prio = ByLevel
+	}
+	queued := make(map[string]float64) // paper mode: placed tasks per host
+	freeAt := make(map[string]float64) // availability mode: est host-free times
+	if s.EFT && s.Ledger != nil {
+		freeAt = s.Ledger.Snapshot()
+	}
+	out := make(map[afg.TaskID]Choice, g.Len())
+	var buf []scored
+	slab := make([]string, g.Len())
+	for _, id := range prio(g.TaskIDs(), levels) {
+		task := g.Task(id)
+		var choice Choice
+		var finish float64
+		choice, finish, buf, slab, err = s.selectFor(task, resources, queued, freeAt, s.EFT, gens, buf, slab)
+		if err != nil {
+			return nil, fmt.Errorf("task %q at site %s: %w", id, s.Site, err)
+		}
+		for _, h := range choice.Hosts {
+			if s.EFT {
+				freeAt[h] = finish
+			} else {
+				queued[h]++
+			}
+		}
+		out[id] = choice
+	}
+	return out, nil
+}
+
+// oracleSite carries the mode fields of the original SiteScheduler engine.
+type oracleSite struct {
+	Local         HostSelector
+	Remotes       []HostSelector
+	Net           *netsim.Network
+	K             int
+	TransferAware bool
+	EFT           bool // the former AvailabilityAware mode
+	Ledger        *LoadLedger
+	Priority      PriorityFunc
+}
+
 // oracleSiteRun is the original SiteScheduler engine: map-keyed site
 // results, Tracker ready sets re-sorted per step, and (in availability
-// mode) a live per-candidate ledger probe.
-func oracleSiteRun(s *SiteScheduler, g *afg.Graph) (*AllocationTable, error) {
+// mode) a live per-candidate ledger probe. In-process selectors run the
+// map-keyed walk in the engine's mode.
+func oracleSiteRun(s *oracleSite, g *afg.Graph) (*AllocationTable, error) {
 	if s.Local == nil {
 		return nil, ErrNoSites
 	}
@@ -549,22 +615,15 @@ func oracleSiteRun(s *SiteScheduler, g *afg.Graph) (*AllocationTable, error) {
 	}
 
 	selectors := []HostSelector{s.Local}
-	selectors = append(selectors, s.nearestRemotes()...)
-	if s.AvailabilityAware {
-		propagated := make([]HostSelector, len(selectors))
-		for i, sel := range selectors {
-			if ls, ok := sel.(*LocalSelector); ok {
-				c := *ls
-				c.AvailabilityAware = true
-				if c.Ledger == nil {
-					c.Ledger = s.Ledger
-				}
-				propagated[i] = &c
-			} else {
-				propagated[i] = sel
+	selectors = append(selectors, nearestSelectors(s.Local, s.Remotes, s.Net, s.K)...)
+	for i, sel := range selectors {
+		if ls, ok := sel.(*LocalSelector); ok {
+			c := &oracleSelector{LocalSelector: ls, EFT: s.EFT, Priority: s.Priority}
+			if s.EFT {
+				c.Ledger = s.Ledger
 			}
+			selectors[i] = c
 		}
-		selectors = propagated
 	}
 	var results []oracleSiteResult
 	for _, sel := range selectors {
@@ -582,7 +641,7 @@ func oracleSiteRun(s *SiteScheduler, g *afg.Graph) (*AllocationTable, error) {
 		return nil, err
 	}
 
-	if s.AvailabilityAware {
+	if s.EFT {
 		return oracleAvailabilityAware(s, g, results, levels)
 	}
 
@@ -637,7 +696,7 @@ type oracleSiteResult struct {
 
 // oracleAvailabilityAware is the original EFT walk with live per-candidate
 // ledger probes.
-func oracleAvailabilityAware(s *SiteScheduler, g *afg.Graph, results []oracleSiteResult, levels map[afg.TaskID]float64) (*AllocationTable, error) {
+func oracleAvailabilityAware(s *oracleSite, g *afg.Graph, results []oracleSiteResult, levels map[afg.TaskID]float64) (*AllocationTable, error) {
 	table := NewAllocationTable(g.Name)
 	prio := s.Priority
 	if prio == nil {
@@ -741,7 +800,7 @@ func isEntryLike(g *afg.Graph, id afg.TaskID) bool {
 
 // transferCost is the map-keyed transferCostDense: transfer_time(Sparent,
 // Sj) summed over the task's already scheduled parents.
-func (s *SiteScheduler) transferCost(g *afg.Graph, id afg.TaskID, site string, table *AllocationTable) float64 {
+func (s *oracleSite) transferCost(g *afg.Graph, id afg.TaskID, site string, table *AllocationTable) float64 {
 	if s.Net == nil {
 		return 0
 	}

@@ -70,8 +70,8 @@ func init() {
 	Register(sitePolicy{name: "ledger", eft: true, ledger: true})
 	Register(heftPolicy{})
 	Register(cpopPolicy{})
-	Register(baselinePolicy{kind: "random"})
-	Register(baselinePolicy{kind: "roundrobin"})
-	Register(baselinePolicy{kind: "minload"})
-	Register(baselinePolicy{kind: "fastest"})
+	Register(baselinePolicy{kind: "random", pick: pickRandom})
+	Register(baselinePolicy{kind: "roundrobin", pick: pickRoundRobin})
+	Register(baselinePolicy{kind: "minload", pick: pickMinLoad})
+	Register(baselinePolicy{kind: "fastest", pick: pickFastest})
 }

@@ -151,40 +151,54 @@ type LocalSelector struct {
 	// the recorded value directly. Applied per prediction, after any
 	// cache lookup, so stateful forecasters always see fresh calls.
 	Forecast func(host string, recorded float64) float64
-
-	// AvailabilityAware switches the Fig 5 walk from queued-load bumps to
-	// an estimated host-free timeline: each task takes the host(s)
-	// minimising earliest finish time (free time + predicted execution),
-	// and its finish pushes those hosts' free times out. Off by default —
-	// the paper-faithful mode is the ablation baseline.
-	AvailabilityAware bool
-
-	// Ledger, when non-nil and AvailabilityAware is set, seeds each
-	// walk's host timeline with the cross-application busy seconds other
-	// schedules have reserved, so even a single-site batch offers later
-	// applications different hosts. Installed by SiteScheduler's
-	// availability propagation; reservations themselves are made by the
-	// site-level walk, never here.
-	Ledger *LoadLedger
-
-	// Priority orders the task queue for the Fig 5 walk; nil uses the
-	// paper's level rule (ByLevel). Because each assignment bumps its
-	// host's queued load, the walk order decides which tasks get the
-	// fastest machines — FIFOPriority here is the level-rule ablation.
-	Priority PriorityFunc
 }
 
 // SiteName implements HostSelector.
 func (s *LocalSelector) SiteName() string { return s.Site }
 
-// SelectHosts implements HostSelector (the paper's Fig 5 loop). The task
-// queue is walked in level-priority order and each assignment updates the
-// selector's own view of its chosen host(s) — one queued-load unit in the
-// paper-faithful mode, an estimated host-free time in availability-aware
-// mode — so a wide application does not dog-pile the single best machine.
+// SelectHosts implements HostSelector (the paper's Fig 5 loop) in the
+// paper-faithful mode with the level rule — what a site serves to remote
+// schedulers over RPC. It is selectHosts keyed by task id.
 //
-//vdce:ignore allocflow generic HostSelector form, invoked once per (site, schedule): walk state is host-keyed (sites hold few hosts) and the id-keyed output map is the interface contract — selectHostsDense is the allocation-policed twin
+//vdce:ignore allocflow RPC reply form, invoked once per (site, schedule): the walk's state is host-keyed (sites hold few hosts) and the id-keyed output map is the HostSelector contract
 func (s *LocalSelector) SelectHosts(g *afg.Graph) (map[afg.TaskID]Choice, error) {
+	ix, err := g.Index()
+	if err != nil {
+		return nil, err
+	}
+	cs, err := s.selectHosts(ix, g, hostWalk{})
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[afg.TaskID]Choice, len(cs))
+	for t, c := range cs {
+		out[ix.ID(t)] = c
+	}
+	return out, nil
+}
+
+// hostWalk is the mode the Site Scheduler runs an in-process Fig 5 walk
+// in; the zero value is the paper-faithful walk with the level rule.
+type hostWalk struct {
+	// eft switches from queued-load bumps to an estimated host-free
+	// timeline: each task takes the host(s) minimising earliest finish
+	// time (free time + predicted execution), and its finish pushes those
+	// hosts' free times out.
+	eft bool
+	// ledger, in eft mode, seeds the timeline with the cross-application
+	// busy seconds other schedules have reserved. The walk only reads it.
+	ledger *LoadLedger
+	// prio orders the task queue; nil is the paper's level rule (ByLevel).
+	prio PriorityFunc
+}
+
+// selectHosts is the Fig 5 walk over dense task indices. The task queue is
+// walked in priority order and each assignment updates the walk's own view
+// of its chosen host(s) — one queued-load unit in the paper-faithful mode,
+// an estimated host-free time in eft mode — so a wide application does not
+// dog-pile the single best machine. Because each assignment bumps its
+// host, the walk order decides which tasks get the fastest machines.
+func (s *LocalSelector) selectHosts(ix *afg.Index, g *afg.Graph, w hostWalk) ([]Choice, error) {
 	// Generation snapshot BEFORE the repository read: a monitor update
 	// landing between List() and a Store() bumps the generation past the
 	// snapshot, so stale inputs are never cached as current.
@@ -193,41 +207,50 @@ func (s *LocalSelector) SelectHosts(g *afg.Graph) (map[afg.TaskID]Choice, error)
 		gens = s.Cache.Generations()
 	}
 	resources := s.Repo.Resources.List()
-	levels, err := g.Levels()
-	if err != nil {
-		return nil, err
-	}
-	prio := s.Priority
-	if prio == nil {
-		prio = ByLevel
-	}
 	queued := make(map[string]float64) // paper mode: placed tasks per host
-	freeAt := make(map[string]float64) // availability mode: est host-free times
-	if s.AvailabilityAware && s.Ledger != nil {
-		freeAt = s.Ledger.Snapshot()
+	freeAt := make(map[string]float64) // eft mode: est host-free times
+	if w.eft && w.ledger != nil {
+		freeAt = w.ledger.Snapshot()
 	}
-	out := make(map[afg.TaskID]Choice, g.Len())
-	var buf []scored
+	sc := getScratch()
+	defer sc.release()
+	if w.prio == nil {
+		sc.order = rankOrderDesc(ix.Levels(), sc.order)
+	} else {
+		levels, err := g.Levels()
+		if err != nil {
+			return nil, err
+		}
+		ids := w.prio(g.TaskIDs(), levels)
+		sc.order = grow(sc.order, len(ids))
+		for k, id := range ids {
+			sc.order[k] = int32(ix.Of(id))
+		}
+	}
+	out := make([]Choice, ix.Len()) // schedule output
 	// One host-name slab backs every sequential task's committed host set
 	// (schedule output): one allocation per walk instead of one per task.
-	slab := make([]string, g.Len())
-	for _, id := range prio(g.TaskIDs(), levels) {
-		task := g.Task(id)
+	slab := make([]string, ix.Len())
+	buf := sc.scored
+	for _, t := range sc.order {
 		var choice Choice
 		var finish float64
-		choice, finish, buf, slab, err = s.selectFor(task, resources, queued, freeAt, gens, buf, slab)
+		var err error
+		choice, finish, buf, slab, err = s.selectFor(ix.Task(int(t)), resources, queued, freeAt, w.eft, gens, buf, slab)
 		if err != nil {
-			return nil, fmt.Errorf("task %q at site %s: %w", id, s.Site, err)
+			sc.scored = buf
+			return nil, fmt.Errorf("task %q at site %s: %w", ix.ID(int(t)), s.Site, err)
 		}
 		for _, h := range choice.Hosts {
-			if s.AvailabilityAware {
+			if w.eft {
 				freeAt[h] = finish
 			} else {
 				queued[h]++
 			}
 		}
-		out[id] = choice
+		out[t] = choice
 	}
+	sc.scored = buf
 	return out, nil
 }
 
@@ -240,15 +263,15 @@ type scored struct {
 
 // selectFor evaluates Predict(task, R) for every eligible resource and
 // returns the minimiser — of the prediction alone in the paper-faithful
-// mode, of the earliest finish time (host free time + prediction) in
-// availability-aware mode — plus the estimated finish of the choice.
+// mode, of the earliest finish time (host free time + prediction) in eft
+// mode — plus the estimated finish of the choice.
 // Parallel tasks select task.Processors machines (the paper's "the host
 // selection algorithm is updated to select the number of machines required
 // within the site"). buf is a caller-owned scratch slice and slab a
 // caller-owned host-name arena for the committed sets, both returned
 // (maybe consumed or grown) for reuse across the walk: the steady-state
 // sequential walk step allocates nothing at all.
-func (s *LocalSelector) selectFor(task *afg.Task, resources []repository.ResourceRecord, queued, freeAt map[string]float64, gens map[string]uint64, buf []scored, slab []string) (Choice, float64, []scored, []string, error) {
+func (s *LocalSelector) selectFor(task *afg.Task, resources []repository.ResourceRecord, queued, freeAt map[string]float64, eft bool, gens map[string]uint64, buf []scored, slab []string) (Choice, float64, []scored, []string, error) {
 	cands := buf[:0]
 	for _, r := range resources {
 		if !s.eligible(task, r) {
@@ -258,7 +281,7 @@ func (s *LocalSelector) selectFor(task *afg.Task, resources []repository.Resourc
 		//vdce:ignore allocflow queued and freeAt are host-keyed walk state (a site's hosts are few); the probes allocate nothing
 		pred := s.predictOn(task, r, queued[host], gens)
 		key := pred
-		if s.AvailabilityAware {
+		if eft {
 			//vdce:ignore allocflow host-keyed walk state, one probe per candidate
 			key = freeAt[host] + pred
 		}
@@ -333,7 +356,7 @@ func (s *LocalSelector) eligible(task *afg.Task, r repository.ResourceRecord) bo
 // denseHostCosts implements denseCoster. One pass over (task × resource)
 // fills a contiguous prediction slab — columns are the site's hosts
 // ascending by name (the repository's List order), NaN marks ineligible
-// pairs — with no per-task map or slice allocation. Unlike SelectHosts it
+// pairs — with no per-task map or slice allocation. Unlike selectHosts it
 // models no queueing — no queued-load bumps, no free-time timeline —
 // because the caller (HEFT/CPOP placement) prices contention itself; the
 // Forecast hook and prediction cache apply as usual. A task no host can
@@ -371,66 +394,9 @@ func (s *LocalSelector) denseHostCosts(ix *afg.Index) ([]string, []float64, erro
 	return hosts, pred, nil
 }
 
-// selectHostsDense is the slice-indexed form of SelectHosts: the same
-// Fig 5 walk, but the priority order comes from dense levels sorted by
-// integer index and the result is addressed by dense task index — no
-// level map, no id sort, no output map. A selector carrying its own
-// Priority rule falls back to the generic walk.
-func (s *LocalSelector) selectHostsDense(g *afg.Graph) ([]Choice, error) {
-	ix, err := g.Index()
-	if err != nil {
-		return nil, err
-	}
-	if s.Priority != nil {
-		m, err := s.SelectHosts(g)
-		if err != nil {
-			return nil, err
-		}
-		return denseChoices(ix, m), nil
-	}
-	var gens map[string]uint64
-	if s.Cache != nil {
-		gens = s.Cache.Generations()
-	}
-	resources := s.Repo.Resources.List()
-	queued := make(map[string]float64)
-	freeAt := make(map[string]float64)
-	if s.AvailabilityAware && s.Ledger != nil {
-		freeAt = s.Ledger.Snapshot()
-	}
-	sc := getScratch()
-	defer sc.release()
-	out := make([]Choice, ix.Len()) // schedule output
-	sc.order = rankOrderDesc(ix.Levels(), sc.order)
-	// One host-name slab backs every sequential task's committed host set
-	// (schedule output): one allocation per walk instead of one per task.
-	slab := make([]string, ix.Len())
-	buf := sc.scored
-	for _, t := range sc.order {
-		task := ix.Task(int(t))
-		var choice Choice
-		var finish float64
-		choice, finish, buf, slab, err = s.selectFor(task, resources, queued, freeAt, gens, buf, slab)
-		if err != nil {
-			sc.scored = buf
-			return nil, fmt.Errorf("task %q at site %s: %w", ix.ID(int(t)), s.Site, err)
-		}
-		for _, h := range choice.Hosts {
-			if s.AvailabilityAware {
-				freeAt[h] = finish
-			} else {
-				queued[h]++
-			}
-		}
-		out[t] = choice
-	}
-	sc.scored = buf
-	return out, nil
-}
-
 // predictOn evaluates the prediction function for one task on one resource;
 // queuedLoad is the load contribution of tasks this selector already placed
-// on the resource during the current SelectHosts walk. gens is the cache
+// on the resource during the current selectHosts walk. gens is the cache
 // generation snapshot taken at walk start (nil when caching is off). The
 // cache stores raw recorded loads; Forecast is applied here, per call, so
 // memoized entries never bake in a store-time forecast value.

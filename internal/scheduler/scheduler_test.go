@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -206,25 +207,38 @@ func TestLocalSelectorForecastHook(t *testing.T) {
 	}
 }
 
+// runPolicy schedules g under the named registered policy in req's
+// environment (req itself is left untouched).
+func runPolicy(t testing.TB, name string, req *Request, g *afg.Graph) (*AllocationTable, error) {
+	t.Helper()
+	p, err := Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := *req
+	r.Graph = g
+	return p.Schedule(context.Background(), &r)
+}
+
 // twoSiteSetup builds local site "syr" (slow hosts) and remote "rome"
 // (fast hosts) connected by a configurable-latency WAN.
-func twoSiteSetup(t testing.TB, wanLatency time.Duration) (*SiteScheduler, *repository.Repository, *repository.Repository, *netsim.Network) {
+func twoSiteSetup(t testing.TB, wanLatency time.Duration) (*Request, *repository.Repository, *repository.Repository, *netsim.Network) {
 	t.Helper()
 	syr := makeRepo(t, "syr", map[string][2]float64{"syr-1": {1, 0}, "syr-2": {1, 0}})
 	rome := makeRepo(t, "rome", map[string][2]float64{"rome-1": {4, 0}, "rome-2": {4, 0}})
 	net := netsim.New(netsim.DefaultLAN, 1)
 	net.Connect("syr", "rome", netsim.PathSpec{Latency: wanLatency, Bandwidth: 1e6})
-	s := NewSiteScheduler(
+	req := NewRequest(nil,
 		&LocalSelector{Site: "syr", Repo: syr},
 		[]HostSelector{&LocalSelector{Site: "rome", Repo: rome}},
-		net, 0)
-	return s, syr, rome, net
+		net)
+	return req, syr, rome, net
 }
 
 func TestSiteSchedulerEntryTaskGoesToFastestSite(t *testing.T) {
-	s, _, _, _ := twoSiteSetup(t, 5*time.Millisecond)
+	req, _, _, _ := twoSiteSetup(t, 5*time.Millisecond)
 	g := chainGraph(t, []float64{10}, 0)
-	table, err := s.Schedule(g)
+	table, err := runPolicy(t, "faithful", req, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,12 +251,12 @@ func TestSiteSchedulerEntryTaskGoesToFastestSite(t *testing.T) {
 func TestSiteSchedulerCoLocatesHeavyCommunication(t *testing.T) {
 	// Child is cheap but its input is huge: shipping it across a slow WAN
 	// dwarfs any compute gain, so the child must stay at the parent site.
-	s, _, _, _ := twoSiteSetup(t, 2*time.Second)
+	req, _, _, _ := twoSiteSetup(t, 2*time.Second)
 	g := afg.New("app")
 	g.AddTask(&afg.Task{ID: "parent", Function: "f", ComputeCost: 10})
 	g.AddTask(&afg.Task{ID: "child", Function: "f", ComputeCost: 0.1})
 	g.AddLink(afg.Link{From: "parent", To: "child", Bytes: 100 << 20})
-	table, err := s.Schedule(g)
+	table, err := runPolicy(t, "faithful", req, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,13 +270,13 @@ func TestSiteSchedulerCoLocatesHeavyCommunication(t *testing.T) {
 func TestSiteSchedulerTransferAblation(t *testing.T) {
 	// Same setup, but with TransferAware off the child chases the faster
 	// remote host, ignoring the transfer.
-	s, _, _, _ := twoSiteSetup(t, 2*time.Second)
-	s.TransferAware = false
+	req, _, _, _ := twoSiteSetup(t, 2*time.Second)
+	req.Config.TransferAware = false
 	g := afg.New("app")
 	g.AddTask(&afg.Task{ID: "parent", Function: "f", ComputeCost: 10})
 	g.AddTask(&afg.Task{ID: "child", Function: "f", ComputeCost: 8})
 	g.AddLink(afg.Link{From: "parent", To: "child", Bytes: 100 << 20})
-	table, err := s.Schedule(g)
+	table, err := runPolicy(t, "faithful", req, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,12 +289,12 @@ func TestSiteSchedulerTransferAblation(t *testing.T) {
 func TestSiteSchedulerZeroByteLinksAreEntryLike(t *testing.T) {
 	// A child whose inputs carry no data ("does not require any input
 	// file") is placed like an entry task: best predicted site.
-	s, _, _, _ := twoSiteSetup(t, 2*time.Second)
+	req, _, _, _ := twoSiteSetup(t, 2*time.Second)
 	g := afg.New("app")
 	g.AddTask(&afg.Task{ID: "parent", Function: "f", ComputeCost: 1})
 	g.AddTask(&afg.Task{ID: "child", Function: "f", ComputeCost: 10})
 	g.AddLink(afg.Link{From: "parent", To: "child", Bytes: 0})
-	table, err := s.Schedule(g)
+	table, err := runPolicy(t, "faithful", req, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,13 +311,13 @@ func TestSiteSchedulerKNearestLimitsFanOut(t *testing.T) {
 	net := netsim.New(netsim.DefaultLAN, 1)
 	net.Connect("syr", "near", netsim.PathSpec{Latency: time.Millisecond, Bandwidth: 1e9})
 	net.Connect("syr", "far", netsim.PathSpec{Latency: time.Second, Bandwidth: 1e9})
-	s := NewSiteScheduler(
+	req := NewRequest(nil,
 		&LocalSelector{Site: "syr", Repo: syr},
 		[]HostSelector{
 			&LocalSelector{Site: "far", Repo: far},
 			&LocalSelector{Site: "near", Repo: near},
-		}, net, 1)
-	table, err := s.Schedule(chainGraph(t, []float64{10}, 0))
+		}, net, WithK(1))
+	table, err := runPolicy(t, "faithful", req, chainGraph(t, []float64{10}, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,24 +330,23 @@ func TestSiteSchedulerKNearestLimitsFanOut(t *testing.T) {
 }
 
 func TestSiteSchedulerValidatesGraph(t *testing.T) {
-	s, _, _, _ := twoSiteSetup(t, time.Millisecond)
-	if _, err := s.Schedule(afg.New("empty")); err == nil {
+	req, _, _, _ := twoSiteSetup(t, time.Millisecond)
+	if _, err := runPolicy(t, "faithful", req, afg.New("empty")); err == nil {
 		t.Fatal("empty graph accepted")
 	}
 }
 
 func TestSiteSchedulerNoSites(t *testing.T) {
-	s := &SiteScheduler{}
-	if _, err := s.Schedule(chainGraph(t, []float64{1}, 0)); !errors.Is(err, ErrNoSites) {
+	if _, err := runPolicy(t, "faithful", &Request{}, chainGraph(t, []float64{1}, 0)); !errors.Is(err, ErrNoSites) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestSiteSchedulerFIFOPriority(t *testing.T) {
-	s, _, _, _ := twoSiteSetup(t, time.Millisecond)
-	s.Priority = FIFOPriority
+	req, _, _, _ := twoSiteSetup(t, time.Millisecond)
+	req.Config.Priority = FIFOPriority
 	g := chainGraph(t, []float64{1, 2, 3}, 10)
-	table, err := s.Schedule(g)
+	table, err := runPolicy(t, "faithful", req, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,13 +391,9 @@ func TestBaselinesProduceCompleteTables(t *testing.T) {
 	rome := makeRepo(t, "rome", map[string][2]float64{"r1": {4, 2}})
 	sites := map[string]*repository.Repository{"syr": syr, "rome": rome}
 	g := chainGraph(t, []float64{1, 2, 3, 4}, 10)
-	for name, s := range map[string]Scheduler{
-		"random":     &RandomScheduler{Sites: sites, Seed: 1},
-		"roundrobin": &RoundRobinScheduler{Sites: sites},
-		"minload":    &MinLoadScheduler{Sites: sites},
-		"fastest":    &FastestHostScheduler{Sites: sites},
-	} {
-		table, err := s.Schedule(g)
+	req := &Request{Sites: sites, Config: NewConfig(WithSeed(1))}
+	for _, name := range []string{"random", "roundrobin", "minload", "fastest"} {
+		table, err := runPolicy(t, name, req, g)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -396,8 +405,8 @@ func TestBaselinesProduceCompleteTables(t *testing.T) {
 
 func TestFastestHostSchedulerSerialises(t *testing.T) {
 	syr := makeRepo(t, "syr", map[string][2]float64{"s1": {1, 0}, "s2": {9, 0}})
-	f := &FastestHostScheduler{Sites: map[string]*repository.Repository{"syr": syr}}
-	table, err := f.Schedule(chainGraph(t, []float64{1, 1}, 0))
+	req := &Request{Sites: map[string]*repository.Repository{"syr": syr}}
+	table, err := runPolicy(t, "fastest", req, chainGraph(t, []float64{1, 1}, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,12 +419,12 @@ func TestFastestHostSchedulerSerialises(t *testing.T) {
 
 func TestMinLoadSpreadsTasks(t *testing.T) {
 	syr := makeRepo(t, "syr", map[string][2]float64{"s1": {1, 0}, "s2": {1, 0}})
-	m := &MinLoadScheduler{Sites: map[string]*repository.Repository{"syr": syr}}
+	req := &Request{Sites: map[string]*repository.Repository{"syr": syr}}
 	g := afg.New("wide")
 	for i := 0; i < 4; i++ {
 		g.AddTask(&afg.Task{ID: afg.TaskID(rune('a' + i)), Function: "f", ComputeCost: 1})
 	}
-	table, err := m.Schedule(g)
+	table, err := runPolicy(t, "minload", req, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,12 +439,14 @@ func TestMinLoadSpreadsTasks(t *testing.T) {
 
 func TestBaselinesEmptySites(t *testing.T) {
 	g := chainGraph(t, []float64{1}, 0)
-	empty := map[string]*repository.Repository{}
-	if _, err := (&RandomScheduler{Sites: empty}).Schedule(g); !errors.Is(err, ErrNoEligibleHost) {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := (&MinLoadScheduler{Sites: empty}).Schedule(g); !errors.Is(err, ErrNoEligibleHost) {
-		t.Fatalf("err = %v", err)
+	hostless := &Request{Sites: map[string]*repository.Repository{"syr": repository.New()}}
+	for _, name := range []string{"random", "minload"} {
+		if _, err := runPolicy(t, name, hostless, g); !errors.Is(err, ErrNoEligibleHost) {
+			t.Fatalf("%s: err = %v", name, err)
+		}
+		if _, err := runPolicy(t, name, &Request{}, g); !errors.Is(err, ErrNoSites) {
+			t.Fatalf("%s without sites: err = %v", name, err)
+		}
 	}
 }
 
@@ -548,7 +559,7 @@ func TestCommVolume(t *testing.T) {
 func TestPropertySiteSchedulerComplete(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		s, _, _, net := twoSiteSetup(t, 10*time.Millisecond)
+		req, _, _, net := twoSiteSetup(t, 10*time.Millisecond)
 		g := afg.New("rand")
 		layers := 2 + rng.Intn(4)
 		var prev []afg.TaskID
@@ -572,7 +583,7 @@ func TestPropertySiteSchedulerComplete(t *testing.T) {
 			}
 			prev = cur
 		}
-		table, err := s.Schedule(g)
+		table, err := runPolicy(t, "faithful", req, g)
 		if err != nil {
 			return false
 		}
@@ -604,8 +615,7 @@ func TestPredictionBeatsBaselinesUnderSkew(t *testing.T) {
 	}
 	repo := makeRepo(t, "syr", hosts)
 	net := netsim.New(netsim.DefaultLAN, 1)
-	vdce := NewSiteScheduler(&LocalSelector{Site: "syr", Repo: repo}, nil, net, 0)
-	sites := map[string]*repository.Repository{"syr": repo}
+	req := NewRequest(nil, &LocalSelector{Site: "syr", Repo: repo}, nil, net, WithSeed(42))
 
 	g := afg.New("load")
 	for i := 0; i < 30; i++ {
@@ -615,7 +625,7 @@ func TestPredictionBeatsBaselinesUnderSkew(t *testing.T) {
 		h := hosts[host]
 		return task.ComputeCost / h[0] * (1 + h[1])
 	}
-	vdceTable, err := vdce.Schedule(g)
+	vdceTable, err := runPolicy(t, "faithful", req, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -623,7 +633,7 @@ func TestPredictionBeatsBaselinesUnderSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	randTable, err := (&RandomScheduler{Sites: sites, Seed: 42}).Schedule(g)
+	randTable, err := runPolicy(t, "random", req, g)
 	if err != nil {
 		t.Fatal(err)
 	}

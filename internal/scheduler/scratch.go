@@ -55,7 +55,7 @@ type scratch struct {
 	parentHosts []string   // hosts of the current task's byte-carrying parents
 	choiceBuf   []Choice   // candidate row scratch (parallel placement, CPOP pin)
 
-	// Site-walk state (selectHostsDense).
+	// Site-walk state (LocalSelector.selectHosts).
 	scored []scored // candidate scratch for selectFor
 
 	// Discrete-event executor state (Simulate, RunChurn); executor.load

@@ -195,10 +195,10 @@ func TestSimulateMatchesReference(t *testing.T) {
 // TestSimulateMatchesReferenceScheduledTables repeats the equivalence check
 // on tables produced by the real Site Scheduler rather than random ones.
 func TestSimulateMatchesReferenceScheduledTables(t *testing.T) {
-	s, _, _, net := twoSiteSetup(t, 10*time.Millisecond)
+	req, _, _, net := twoSiteSetup(t, 10*time.Millisecond)
 	for seed := int64(1); seed <= 4; seed++ {
 		g := dagen.Scale(120, 8, 5, seed)
-		table, err := s.Schedule(g)
+		table, err := runPolicy(t, "faithful", req, g)
 		if err != nil {
 			t.Fatal(err)
 		}

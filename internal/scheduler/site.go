@@ -13,111 +13,30 @@ import (
 	"repro/internal/netsim"
 )
 
-// SiteScheduler implements the Site Scheduler Algorithm (paper Fig 4) at
-// the local site — the site where the execution request arrived.
+// sitePolicy is the Site Scheduler Algorithm (paper Fig 4) run at the
+// local site — the site where the execution request arrived — as a
+// registered Policy: "faithful" is the paper's walk, "eft" the
+// earliest-finish-time variant, and "ledger" eft with a cross-application
+// load ledger (the request's shared ledger when provided, else a private
+// one). Any site policy runs eft when the request carries a ledger.
 //
 // Steps (numbering follows the figure):
 //  1. receive the AFG,
-//  2. select the k nearest neighbour sites,
+//  2. select the Config.K nearest neighbour sites,
 //  3. multicast the AFG to them,
 //  4. run the Host Selection Algorithm locally and remotely,
 //  5. collect (machine, predicted time) pairs per task per site,
 //  6. initialise the ready set with entry tasks,
-//  7. walk the ready set in level-priority order, assigning each task to
-//     the site minimising predicted time (entry tasks) or
-//     transfer time from the parents' sites + predicted time (others).
-type SiteScheduler struct {
-	Local   HostSelector
-	Remotes []HostSelector  // all known remote sites (k nearest selected per run)
-	Net     *netsim.Network // supplies transfer_time(Sparent, Sj)
-	K       int             // neighbour fan-out (0 = all remotes)
-
-	// TransferAware toggles the transfer-time term in step 7; disabling
-	// it is the Fig 4 ablation (site choice by prediction only).
-	TransferAware bool
-
-	// AvailabilityAware replaces step 7's predicted+transfer objective
-	// with earliest finish time: the walk tracks an estimated free-time
-	// timeline for every host across all sites and places each task on
-	// the site/host set minimising
-	//
-	//	max(parent finishes + transfer, host free, ledger wait) + predicted.
-	//
-	// Off by default — the paper-faithful Fig 4 walk is the ablation
-	// baseline the evaluation compares against.
-	//
-	// Deprecated: select the "eft" policy (Lookup("eft"), or WithEFT on a
-	// Request) instead of toggling this boolean.
-	AvailabilityAware bool
-
-	// Ledger, when non-nil, is the shared cross-application load ledger
-	// consulted and updated by the availability-aware walk: placements
-	// from concurrent Schedule calls (scheduler.Batch) reserve predicted
-	// busy seconds per host, so applications scheduled in the same batch
-	// spread around each other instead of dog-piling the fastest
-	// machines. Ignored when AvailabilityAware is off.
-	Ledger *LoadLedger
-
-	// Priority orders the ready set each step; nil means the paper's
-	// level rule (ByLevel). FIFOPriority is the ablation alternative.
-	Priority PriorityFunc
-
-	// Concurrency bounds the worker pool fanning Host Selection out
-	// across sites (steps 3–5): 0 uses GOMAXPROCS workers, 1 keeps the
-	// fully serial walk (the baseline the scale benchmark measures
-	// against), and any n > 1 runs at most n selections at once. The
-	// merge is deterministic — results are ordered by site name before
-	// the ready-set walk — so the allocation table does not depend on
-	// goroutine scheduling.
-	Concurrency int
-
-	// Diag, when non-nil, receives per-site gather diagnostics (dropped
-	// sites classified as capacity refusals vs transient failures).
-	// Installed from Request.Diag by the registered site policies.
-	Diag *Diagnostics
-}
-
-// NewSiteScheduler builds a transfer-aware scheduler with fan-out k.
-func NewSiteScheduler(local HostSelector, remotes []HostSelector, net *netsim.Network, k int) *SiteScheduler {
-	return &SiteScheduler{Local: local, Remotes: remotes, Net: net, K: k, TransferAware: true}
-}
-
-// Schedule produces a resource allocation table for g.
+//  7. walk the ready set in priority order (Config.Priority, default the
+//     level rule), assigning each task to the site minimising predicted
+//     time (entry tasks) or transfer time from the parents' sites +
+//     predicted time (others; Config.TransferAware off drops the transfer
+//     term, the Fig 4 ablation).
 //
-// Deprecated: Schedule delegates to the policy API — Lookup("faithful") or
-// Lookup("eft") with a Request built by NewRequest expresses the same run
-// and composes with the registry; this method remains for existing callers.
-func (s *SiteScheduler) Schedule(g *afg.Graph) (*AllocationTable, error) {
-	// Mode follows the AvailabilityAware flag alone, exactly as the old
-	// engine did: a ledger installed without the flag stays ignored.
-	name := "faithful"
-	if s.AvailabilityAware {
-		name = "eft"
-	}
-	p, err := Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	return p.Schedule(context.Background(), &Request{
-		Graph:   g,
-		Local:   s.Local,
-		Remotes: s.Remotes,
-		Net:     s.Net,
-		Config: Config{
-			EFT:           s.AvailabilityAware,
-			Ledger:        s.Ledger,
-			Concurrency:   s.Concurrency,
-			Priority:      s.Priority,
-			TransferAware: s.TransferAware,
-			K:             s.K,
-		},
-	})
-}
-
-// sitePolicy wraps the Site Scheduler engine as a registered Policy:
-// "faithful" is the paper's Fig 4 walk, "eft" the earliest-finish-time
-// variant, and "ledger" eft with a cross-application load ledger (the
-// request's shared ledger when provided, else a private one).
+// The eft variant replaces step 7's objective with the earliest finish
+// time over estimated host-free timelines across all sites:
+//
+//	max(parent finishes + transfer, host free, ledger wait) + predicted.
 type sitePolicy struct {
 	name   string
 	eft    bool
@@ -127,43 +46,42 @@ type sitePolicy struct {
 // Name implements Policy.
 func (p sitePolicy) Name() string { return p.name }
 
-// Schedule implements Policy by assembling the engine from the request.
+// Schedule implements Policy.
 func (p sitePolicy) Schedule(ctx context.Context, req *Request) (*AllocationTable, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	cfg := req.Config
-	// Availability mode comes from the policy name or an explicit WithEFT;
-	// WithLedger sets EFT itself, so a bare Config.Ledger (the deprecated
-	// Schedule shim passing legacy fields through) does not force it.
-	s := &SiteScheduler{
-		Local:             req.Local,
-		Remotes:           req.Remotes,
-		Net:               req.Net,
-		K:                 cfg.K,
-		TransferAware:     cfg.TransferAware,
-		AvailabilityAware: p.eft || cfg.EFT,
-		Ledger:            cfg.Ledger,
-		Priority:          cfg.Priority,
-		Concurrency:       cfg.Concurrency,
-		Diag:              req.Diag,
+	e := &siteEngine{req: req, eft: p.eft || req.Config.Ledger != nil, ledger: req.Config.Ledger}
+	if p.ledger && e.ledger == nil {
+		e.ledger = NewLoadLedger()
 	}
-	if p.ledger && s.Ledger == nil {
-		s.Ledger = NewLoadLedger()
-	}
-	return s.run(req.Graph)
+	return e.run()
 }
 
-// run is the Site Scheduler engine (the former Schedule body); both the
-// deprecated method and the registered site policies funnel through it.
-// The walk is slice-indexed end to end: site results address tasks by
-// dense index, the ready set is a priority heap over dense levels, and
-// the transfer term reads CSR parent arcs. The original map-keyed walk is
-// retained in oracle_test.go; equivalence tests pin the tables.
-func (s *SiteScheduler) run(g *afg.Graph) (*AllocationTable, error) {
-	if s.Local == nil {
+// siteEngine is one Fig 4 run over a Request. The walk is slice-indexed
+// end to end: site results address tasks by dense index, the ready set is
+// a priority heap over dense levels, and the transfer term reads CSR
+// parent arcs. The original map-keyed walk is retained in oracle_test.go;
+// equivalence tests pin the tables.
+type siteEngine struct {
+	req *Request
+	// eft selects the earliest-finish-time walk (steps 6–7 and the
+	// in-process host selections alike).
+	eft bool
+	// ledger, when non-nil, is the cross-application load ledger the eft
+	// walk consults and reserves in: placements from concurrent schedules
+	// (scheduler.Batch) spread around each other instead of dog-piling
+	// the fastest machines.
+	ledger *LoadLedger
+}
+
+// run is the Site Scheduler engine.
+func (s *siteEngine) run() (*AllocationTable, error) {
+	req := s.req
+	if req.Local == nil {
 		return nil, ErrNoSites
 	}
+	g := req.Graph
 	if g.Len() == 0 {
 		return nil, afg.ErrEmpty
 	}
@@ -173,8 +91,8 @@ func (s *SiteScheduler) run(g *afg.Graph) (*AllocationTable, error) {
 	}
 
 	// Steps 2–3: pick the k nearest neighbours and "multicast" the AFG.
-	selectors := []HostSelector{s.Local}
-	selectors = append(selectors, s.nearestRemotes()...)
+	selectors := []HostSelector{req.Local}
+	selectors = append(selectors, nearestSelectors(req.Local, req.Remotes, req.Net, req.Config.K)...)
 
 	// Steps 4–5: gather host selections per site, fanning out across the
 	// worker pool. A site that cannot host some task (constraints) is
@@ -186,14 +104,14 @@ func (s *SiteScheduler) run(g *afg.Graph) (*AllocationTable, error) {
 		return nil, noSitesErr(transient)
 	}
 
-	if s.AvailabilityAware {
-		return s.scheduleAvailabilityAware(ix, g, results)
+	if s.eft {
+		return s.scheduleEFT(ix, g, results)
 	}
 
 	table := NewAllocationTable(g.Name)
 
 	// Steps 6–7: ready-set walk in level-priority order.
-	walk, err := newReadyWalk(ix, g, s.Priority)
+	walk, err := newReadyWalk(ix, g, req.Config.Priority)
 	if err != nil {
 		return nil, err
 	}
@@ -216,8 +134,8 @@ func (s *SiteScheduler) run(g *afg.Graph) (*AllocationTable, error) {
 				continue
 			}
 			total := choice.Predicted
-			if s.TransferAware && !entryLike {
-				total += s.transferCostDense(ix, t, sr.name, site)
+			if req.Config.TransferAware && !entryLike {
+				total += transferCostDense(req.Net, ix, t, sr.name, site)
 			}
 			if total < bestTotal || (total == bestTotal && sr.name < best.Site) {
 				best, bestTotal, found = choice, total, true
@@ -239,17 +157,18 @@ func (s *SiteScheduler) run(g *afg.Graph) (*AllocationTable, error) {
 	return table, nil
 }
 
-// scheduleAvailabilityAware is the earliest-finish-time variant of steps
-// 6–7: the ready-set walk keeps an estimated free-time timeline for every
-// host it has placed work on (seeded, per task, from one bulk snapshot of
-// the shared ledger's cross-application reservations) and an estimated
+// scheduleEFT is the earliest-finish-time variant of steps 6–7: the
+// ready-set walk keeps an estimated free-time timeline for every host it
+// has placed work on (seeded, per task, from one bulk snapshot of the
+// shared ledger's cross-application reservations) and an estimated
 // finish time per scheduled task, and sends each task to the site/host
 // set whose estimated finish — parents' data arrival plus queueing wait
 // plus predicted execution — is smallest.
 //
 //vdce:hot
-func (s *SiteScheduler) scheduleAvailabilityAware(ix *afg.Index, g *afg.Graph, results []siteResult) (*AllocationTable, error) {
+func (s *siteEngine) scheduleEFT(ix *afg.Index, g *afg.Graph, results []siteResult) (*AllocationTable, error) {
 	table := NewAllocationTable(g.Name)
+	net := s.req.Net
 	n := ix.Len()
 	estFinish := make([]float64, n)
 	site := make([]string, n)        // assigned site per task; "" = unplaced
@@ -261,7 +180,7 @@ func (s *SiteScheduler) scheduleAvailabilityAware(ix *afg.Index, g *afg.Graph, r
 	// snapshot revalidation instead of a ledger lock per candidate — so a
 	// placement made by a concurrent Schedule goroutine moves this walk
 	// off the host it just claimed from the next task onward.
-	view := s.Ledger.View()
+	view := s.ledger.View()
 	freeAt := func(h string) float64 {
 		f := hostFree[h]
 		if view != nil {
@@ -272,16 +191,16 @@ func (s *SiteScheduler) scheduleAvailabilityAware(ix *afg.Index, g *afg.Graph, r
 		return f
 	}
 	releaseOwn := func() {
-		if s.Ledger == nil {
+		if s.ledger == nil {
 			return
 		}
 		//vdce:ignore maporder one Release per distinct host key: updates touch disjoint ledger entries, so order commutes
 		for h, sec := range own {
-			s.Ledger.Release(h, sec)
+			s.ledger.Release(h, sec)
 		}
 	}
 
-	walk, err := newReadyWalk(ix, g, s.Priority)
+	walk, err := newReadyWalk(ix, g, s.req.Config.Priority)
 	if err != nil {
 		return nil, err
 	}
@@ -309,9 +228,9 @@ func (s *SiteScheduler) scheduleAvailabilityAware(ix *afg.Index, g *afg.Graph, r
 			start := 0.0
 			for _, a := range ix.Parents(t) {
 				arrive := estFinish[a.Peer]
-				if s.Net != nil && site[a.Peer] != "" {
+				if net != nil && site[a.Peer] != "" {
 					if a.Bytes > 0 && !sharesHost(phosts[a.Peer], hosts) {
-						arrive += s.Net.TransferTime(site[a.Peer], sr.name, a.Bytes).Seconds()
+						arrive += net.TransferTime(site[a.Peer], sr.name, a.Bytes).Seconds()
 					}
 				}
 				start = math.Max(start, arrive)
@@ -447,8 +366,8 @@ func isEntryLikeDense(ix *afg.Index, t int) bool {
 // (The paper's formula names a single parent site; with several parents
 // each contributes its own transfer, so we sum — a co-located parent
 // contributes its cheap LAN term.)
-func (s *SiteScheduler) transferCostDense(ix *afg.Index, t int, siteName string, site []string) float64 {
-	if s.Net == nil {
+func transferCostDense(net *netsim.Network, ix *afg.Index, t int, siteName string, site []string) float64 {
+	if net == nil {
 		return 0
 	}
 	var total float64
@@ -456,23 +375,9 @@ func (s *SiteScheduler) transferCostDense(ix *afg.Index, t int, siteName string,
 		if site[a.Peer] == "" {
 			continue // parent unscheduled (possible only for cross runs)
 		}
-		total += s.Net.TransferTime(site[a.Peer], siteName, a.Bytes).Seconds()
+		total += net.TransferTime(site[a.Peer], siteName, a.Bytes).Seconds()
 	}
 	return total
-}
-
-// WithLedger returns a copy of the scheduler wired to the shared
-// cross-application ledger (and availability-aware placement, which the
-// ledger requires). scheduler.Batch uses it to thread one ledger through
-// every concurrent Schedule call.
-//
-// Deprecated: use the WithLedger Option on a Request (or Batch.Ledger with
-// a Bind-wrapped policy); this builder remains for existing callers.
-func (s *SiteScheduler) WithLedger(l *LoadLedger) *SiteScheduler {
-	c := *s
-	c.Ledger = l
-	c.AvailabilityAware = true
-	return &c
 }
 
 // siteResult is one site's contribution to steps 4–5: the site's offer per
@@ -484,41 +389,25 @@ type siteResult struct {
 }
 
 // collectSelections runs the Host Selection Algorithm on every selector —
-// serially when Concurrency is 1, otherwise through a bounded worker pool —
-// and merges the successful results deterministically by site name.
-// In-process selectors run the dense slice-indexed walk; RPC remotes
-// answer with maps that are flattened onto the dense index once. Failed
-// sites are dropped and recorded on Diag, classified as capacity refusals
-// vs transient losses.
+// serially when Config.Concurrency is 1, otherwise through a bounded
+// worker pool — and merges the successful results deterministically by
+// site name. In-process selectors run the dense walk in this engine's
+// mode; RPC remotes answer with maps that are flattened onto the dense
+// index once. Failed sites are dropped and recorded on Request.Diag,
+// classified as capacity refusals vs transient losses.
 //
-// Availability-aware scheduling is propagated into in-process selectors:
-// the EFT walk prices queueing itself, so the per-site walks must report
-// pure predictions (a queued-load-bumped prediction would double-count the
-// wait). Remote sites decide their own mode — the RPC selector cannot see
-// this scheduler's flag — which only perturbs which host a remote site
-// offers, not the EFT accounting.
-func (s *SiteScheduler) collectSelections(ix *afg.Index, g *afg.Graph, selectors []HostSelector) ([]siteResult, []SiteError) {
-	if s.AvailabilityAware {
-		propagated := make([]HostSelector, len(selectors))
-		for i, sel := range selectors {
-			if ls, ok := sel.(*LocalSelector); ok {
-				c := *ls
-				c.AvailabilityAware = true
-				if c.Ledger == nil {
-					c.Ledger = s.Ledger
-				}
-				propagated[i] = &c
-			} else {
-				propagated[i] = sel
-			}
-		}
-		selectors = propagated
-	}
+// In eft mode the in-process walks run eft too: the EFT walk prices
+// queueing itself, so the per-site walks must report pure predictions (a
+// queued-load-bumped prediction would double-count the wait). Remote sites
+// decide their own mode — the RPC selector cannot see this engine's — which
+// only perturbs which host a remote site offers, not the EFT accounting.
+func (s *siteEngine) collectSelections(ix *afg.Index, g *afg.Graph, selectors []HostSelector) ([]siteResult, []SiteError) {
+	mode := hostWalk{eft: s.eft, ledger: s.ledger, prio: s.req.Config.Priority}
 	gathered := make([]siteResult, len(selectors))
 	gather := func(i int, sel HostSelector) {
 		name := sel.SiteName()
 		if ls, ok := sel.(*LocalSelector); ok {
-			cs, err := ls.selectHostsDense(g)
+			cs, err := ls.selectHosts(ix, g, mode)
 			gathered[i] = siteResult{name: name, choices: cs, err: err}
 			return
 		}
@@ -529,12 +418,13 @@ func (s *SiteScheduler) collectSelections(ix *afg.Index, g *afg.Graph, selectors
 		}
 		gathered[i] = siteResult{name: name, choices: denseChoices(ix, m)}
 	}
-	if s.Concurrency == 1 || len(selectors) == 1 {
+	concurrency := s.req.Config.Concurrency
+	if concurrency == 1 || len(selectors) == 1 {
 		for i, sel := range selectors {
 			gather(i, sel)
 		}
 	} else {
-		workers := s.Concurrency
+		workers := concurrency
 		if workers <= 0 {
 			workers = runtime.GOMAXPROCS(0)
 		}
@@ -558,7 +448,7 @@ func (s *SiteScheduler) collectSelections(ix *afg.Index, g *afg.Graph, selectors
 	var transient []SiteError
 	for _, r := range gathered {
 		if r.err != nil {
-			s.Diag.record(r.name, r.err)
+			s.req.Diag.record(r.name, r.err)
 			if !errors.Is(r.err, ErrNoEligibleHost) {
 				transient = append(transient, SiteError{Site: r.name, Err: r.err})
 			}
@@ -572,14 +462,8 @@ func (s *SiteScheduler) collectSelections(ix *afg.Index, g *afg.Graph, selectors
 	return results, transient
 }
 
-// nearestRemotes returns the k nearest remote selectors by network latency
-// from the local site (all remotes when no network or K <= 0).
-func (s *SiteScheduler) nearestRemotes() []HostSelector {
-	return nearestSelectors(s.Local, s.Remotes, s.Net, s.K)
-}
-
-// nearestSelectors is the neighbour-selection step shared by the site
-// policies and the HEFT/CPOP candidate collection: the k remotes nearest to
+// nearestSelectors is the neighbour-selection step (Fig 4 step 2) shared
+// by the site policies and the HEFT/CPOP candidate collection: the k remotes nearest to
 // local by network latency (all remotes when no network or k <= 0).
 //
 //vdce:ignore allocflow neighbour selection runs once per schedule (Fig 4 step 2): the site-name interning map and result list are bounded by the remote count, a handful

@@ -78,22 +78,25 @@ func TestSelectorPriorityAblation(t *testing.T) {
 	// "aa" sorts first but is trivial; "zz" is the critical task.
 	g.AddTask(&afg.Task{ID: "aa", Function: "f", ComputeCost: 1})
 	g.AddTask(&afg.Task{ID: "zz", Function: "f", ComputeCost: 100})
-	level := &LocalSelector{Site: "syr", Repo: repo}
-	fifo := &LocalSelector{Site: "syr", Repo: repo, Priority: FIFOPriority}
+	sel := &LocalSelector{Site: "syr", Repo: repo}
 
-	lc, err := level.SelectHosts(g)
+	lc, err := sel.SelectHosts(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lc["zz"].Host != "fast" {
 		t.Fatalf("level priority gave the critical task %q", lc["zz"].Host)
 	}
-	fc, err := fifo.SelectHosts(g)
+	ix, err := g.Index()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fc["aa"].Host != "fast" {
-		t.Fatalf("FIFO should hand the fast host to the first id, got %q", fc["aa"].Host)
+	fc, err := sel.selectHosts(ix, g, hostWalk{prio: FIFOPriority})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fc[ix.Of("aa")].Host; got != "fast" {
+		t.Fatalf("FIFO should hand the fast host to the first id, got %q", got)
 	}
 }
 
@@ -102,12 +105,12 @@ func TestSelectorPriorityAblation(t *testing.T) {
 // its queues in lockstep, so the faster site wins every per-task
 // comparison), and the load is balanced across that site's hosts.
 func TestSiteSchedulerBurstPlacement(t *testing.T) {
-	s, _, _, _ := twoSiteSetup(t, time.Millisecond)
+	req, _, _, _ := twoSiteSetup(t, time.Millisecond)
 	g := afg.New("burst")
 	for i := 0; i < 12; i++ {
 		g.AddTask(&afg.Task{ID: afg.TaskID(rune('a' + i)), Function: "f", ComputeCost: 5})
 	}
-	table, err := s.Schedule(g)
+	table, err := runPolicy(t, "faithful", req, g)
 	if err != nil {
 		t.Fatal(err)
 	}

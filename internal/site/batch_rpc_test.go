@@ -163,7 +163,7 @@ func TestScheduleBatchOverRPCWithLedger(t *testing.T) {
 	}
 	defer client.Close()
 
-	args := BatchArgs{AvailabilityAware: true, SharedLedger: true}
+	args := BatchArgs{SharedLedger: true}
 	for i := 0; i < 4; i++ {
 		g := afg.New(fmt.Sprintf("single%d", i))
 		g.AddTask(&afg.Task{ID: "t", Function: "synthetic.noop", ComputeCost: 5})
@@ -194,15 +194,15 @@ func TestScheduleBatchOverRPCWithLedger(t *testing.T) {
 }
 
 // An explicitly named "faithful" policy must run paper-faithful placement
-// even on a site configured availability-aware: the deprecated site flag is
-// a default, not an override of the caller's explicit choice.
+// even on a site whose default policy is "eft": the site policy is a
+// default, not an override of the caller's explicit choice.
 func TestExplicitFaithfulIgnoresAvailabilityAwareDefault(t *testing.T) {
 	graphs := []*afg.Graph{dagen.Scale(60, 6, 4, 5)}
 	tables := make([]*scheduler.AllocationTable, 2)
-	for i, avail := range []bool{false, true} {
+	for i, def := range []string{"", "eft"} {
 		pool := resource.GenerateSite("syracuse", 4, 4, 31)
 		m, err := NewManager("syracuse", pool, netsim.NYNET(0.0001), nil,
-			Config{GroupSize: 3, AvailabilityAware: avail, SchedulerConcurrency: 1})
+			Config{GroupSize: 3, Policy: def, SchedulerConcurrency: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +220,7 @@ func TestExplicitFaithfulIgnoresAvailabilityAwareDefault(t *testing.T) {
 		b, ok := tables[1].Get(id)
 		//vdce:ignore floateq explicit-vs-implicit policy equivalence: tables must match bit for bit
 		if !ok || a.Host != b.Host || a.Predicted != b.Predicted {
-			t.Fatalf("explicit faithful diverges on avail-aware site at %q: %+v vs %+v", id, a, b)
+			t.Fatalf("explicit faithful diverges on eft-default site at %q: %+v vs %+v", id, a, b)
 		}
 	}
 }

@@ -40,17 +40,10 @@ type Config struct {
 	// pool and the batch endpoint's per-application workers
 	// (0 = GOMAXPROCS, 1 = serial).
 	SchedulerConcurrency int
-	// AvailabilityAware makes this site's schedulers place by earliest
-	// finish time (predicted + transfer + host wait) instead of the
-	// paper-faithful predicted + transfer objective.
-	//
-	// Deprecated: set Policy to "eft" instead; the flag remains as the
-	// default-policy fallback for existing configurations.
-	AvailabilityAware bool
 
 	// Policy names the scheduling policy this site runs by default
 	// (scheduler.Lookup name: "faithful", "eft", "heft", "cpop", ...).
-	// Empty selects "eft" when AvailabilityAware is set, else "faithful".
+	// Empty selects "faithful".
 	Policy string
 
 	// Replanner names the frontier re-planner this site's executions run
@@ -66,12 +59,8 @@ type BatchOptions struct {
 	// Policy selects the scheduling policy by registry name for this
 	// batch; empty follows the site default (Config.Policy).
 	Policy string
-	// AvailabilityAware forces earliest-finish-time placement for this
-	// batch even if the site default is paper-faithful. Ignored when a
-	// Policy is named explicitly.
-	AvailabilityAware bool
 	// SharedLedger threads one cross-application load ledger through the
-	// batch (implies availability-aware placement for the site policies):
+	// batch (implies earliest-finish-time placement for the site policies):
 	// the batch's graphs see each other's in-flight placements and
 	// spread accordingly. The "ledger" policy shares a batch-wide ledger
 	// even without this flag — that sharing is its whole point.
@@ -408,29 +397,21 @@ func (m *Manager) FrontierReplanner() runtime.FrontierReplan {
 }
 
 // Policy resolves the scheduling policy one call should run: the explicit
-// override, else the site's configured default, else the mode implied by
-// the deprecated AvailabilityAware flag.
+// override, else the site's configured default, else "faithful".
 func (m *Manager) Policy(override string) (scheduler.Policy, error) {
 	name := override
 	if name == "" {
 		name = m.cfg.Policy
 	}
 	if name == "" {
-		if m.cfg.AvailabilityAware {
-			name = "eft"
-		} else {
-			name = "faithful"
-		}
+		name = "faithful"
 	}
 	return scheduler.Lookup(name)
 }
 
 // policyRequest assembles the policy environment for this site: the local
 // Host Selection service, the given remotes, the network model, and the
-// fan-out concurrency. The deprecated AvailabilityAware site flag is NOT
-// folded in here — it acts only through the default-policy fallback in
-// Policy(), so an explicitly named policy (e.g. "faithful" as the ablation
-// baseline) always runs exactly what its name says.
+// fan-out concurrency.
 func (m *Manager) policyRequest(g *afg.Graph, remotes []scheduler.HostSelector, concurrency int, seed int64) *scheduler.Request {
 	return scheduler.NewRequest(g, m.Selector, remotes, m.Net,
 		scheduler.WithConcurrency(concurrency), scheduler.WithSeed(seed))
@@ -457,11 +438,7 @@ func (m *Manager) SchedulePolicy(ctx context.Context, policy string, g *afg.Grap
 // a single graph gets the whole budget as fan-out instead. Without this,
 // the effective parallelism would be the square of the configured bound.
 func (m *Manager) ScheduleBatchOpts(graphs []*afg.Graph, remotes []scheduler.HostSelector, opts BatchOptions) ([]scheduler.BatchItem, error) {
-	policyName := opts.Policy
-	if policyName == "" && opts.AvailabilityAware {
-		policyName = "eft"
-	}
-	p, err := m.Policy(policyName)
+	p, err := m.Policy(opts.Policy)
 	if err != nil {
 		return nil, err
 	}
@@ -470,7 +447,7 @@ func (m *Manager) ScheduleBatchOpts(graphs []*afg.Graph, remotes []scheduler.Hos
 		concurrency = 1
 	}
 	env := m.policyRequest(nil, remotes, concurrency, opts.Seed)
-	b := &scheduler.Batch{Scheduler: scheduler.Bind(p, *env), Workers: m.cfg.SchedulerConcurrency}
+	b := &scheduler.Batch{Policy: p, Env: *env, Workers: m.cfg.SchedulerConcurrency}
 	if opts.SharedLedger {
 		b.Ledger = scheduler.NewLoadLedger()
 	}

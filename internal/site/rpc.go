@@ -1,11 +1,13 @@
 package site
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
 	"net/rpc"
 	"sync"
+	"time"
 
 	"repro/internal/afg"
 	"repro/internal/repository"
@@ -55,16 +57,14 @@ func (s *Service) SelectHosts(args SelectArgs, reply *SelectReply) error {
 // BatchArgs carries many JSON-encoded application flow graphs for
 // concurrent scheduling against this site and its configured peers.
 // Policy selects the scheduling policy by registry name ("" = the site's
-// configured default); AvailabilityAware requests earliest-finish-time
-// placement (a false value defers to the site's configured default);
-// SharedLedger threads a cross-application load ledger through the batch
-// so its graphs spread around each other's in-flight placements.
+// configured default); SharedLedger threads a cross-application load
+// ledger through the batch so its graphs spread around each other's
+// in-flight placements.
 type BatchArgs struct {
-	AFGs              [][]byte
-	Policy            string
-	AvailabilityAware bool
-	SharedLedger      bool
-	Seed              int64 // feeds the randomized policies ("random")
+	AFGs         [][]byte
+	Policy       string
+	SharedLedger bool
+	Seed         int64 // feeds the randomized policies ("random")
 }
 
 // BatchReply returns one allocation table (or error string) per input AFG,
@@ -106,10 +106,9 @@ func (s *Service) ScheduleBatch(args BatchArgs, reply *BatchReply) error {
 		remotes = append(remotes, p)
 	}
 	opts := BatchOptions{
-		Policy:            args.Policy,
-		AvailabilityAware: args.AvailabilityAware,
-		SharedLedger:      args.SharedLedger,
-		Seed:              args.Seed,
+		Policy:       args.Policy,
+		SharedLedger: args.SharedLedger,
+		Seed:         args.Seed,
 	}
 	items, err := s.m.ScheduleBatchOpts(graphs, remotes, opts)
 	if err != nil {
@@ -306,6 +305,20 @@ func (m *Manager) ServeWithPeers(addr string, peers []*RemoteSelector) (string, 
 	return ln.Addr().String(), stop, nil
 }
 
+// Deadlines on the calls a schedule waits for, so a hung peer costs a
+// bounded wait and is then dropped from the multicast like any other failed
+// site. RunTask has none: it runs user tasks of unbounded length.
+const (
+	// dialTimeout bounds connecting to a peer.
+	dialTimeout = 5 * time.Second
+	// selectHostsTimeout bounds one remote Host Selection call.
+	selectHostsTimeout = 10 * time.Second
+)
+
+// selectHostsDeadline is the SelectHosts deadline in effect; tests shorten
+// it.
+var selectHostsDeadline = selectHostsTimeout
+
 // RemoteSelector makes a remote site's Host Selection service usable as a
 // scheduler.HostSelector: the multicast step of the Site Scheduler
 // Algorithm becomes an RPC to each neighbour.
@@ -325,7 +338,10 @@ func NewRemoteSelector(name, addr string) *RemoteSelector {
 // SiteName implements scheduler.HostSelector.
 func (r *RemoteSelector) SiteName() string { return r.Name }
 
-// SelectHosts implements scheduler.HostSelector over RPC.
+// SelectHosts implements scheduler.HostSelector over RPC. A peer that does
+// not answer within selectHostsDeadline loses its connection and the call
+// fails with context.DeadlineExceeded, which the Site Scheduler records as
+// a transient loss and schedules around.
 func (r *RemoteSelector) SelectHosts(g *afg.Graph) (map[afg.TaskID]scheduler.Choice, error) {
 	data, err := g.Encode()
 	if err != nil {
@@ -336,11 +352,20 @@ func (r *RemoteSelector) SelectHosts(g *afg.Graph) (map[afg.TaskID]scheduler.Cho
 		return nil, err
 	}
 	var reply SelectReply
-	if err := client.Call("Site.SelectHosts", SelectArgs{AFG: data}, &reply); err != nil {
+	timer := time.NewTimer(selectHostsDeadline)
+	defer timer.Stop()
+	call := client.Go("Site.SelectHosts", SelectArgs{AFG: data}, &reply, make(chan *rpc.Call, 1))
+	select {
+	case <-call.Done:
+		if call.Error != nil {
+			r.dropConn(client)
+			return nil, fmt.Errorf("site: remote %s: %w", r.Name, call.Error)
+		}
+		return reply.Choices, nil
+	case <-timer.C:
 		r.dropConn(client)
-		return nil, fmt.Errorf("site: remote %s: %w", r.Name, err)
+		return nil, fmt.Errorf("site: remote %s: no host selection after %v: %w", r.Name, selectHostsDeadline, context.DeadlineExceeded)
 	}
-	return reply.Choices, nil
 }
 
 // RunTask executes one task on a remote site's host over RPC (the client
@@ -384,12 +409,12 @@ func (r *RemoteSelector) conn() (*rpc.Client, error) {
 	if r.client != nil {
 		return r.client, nil
 	}
-	c, err := rpc.Dial("tcp", r.Addr)
+	nc, err := net.DialTimeout("tcp", r.Addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("site: dial %s (%s): %w", r.Name, r.Addr, err)
 	}
-	r.client = c
-	return c, nil
+	r.client = rpc.NewClient(nc)
+	return r.client, nil
 }
 
 func (r *RemoteSelector) dropConn(c *rpc.Client) {
