@@ -154,16 +154,20 @@ func (g *Graph) AddTask(t *Task) error {
 // has parents is auto-assigned the next free port; use AddLinkExact to
 // force port 0.
 func (g *Graph) AddLink(l Link) error {
-	return g.addLink(l, true)
+	return g.addLink(l, true, true)
 }
 
 // AddLinkExact inserts a link honouring l.Port exactly (deserialisation and
 // editors that manage ports themselves).
 func (g *Graph) AddLinkExact(l Link) error {
-	return g.addLink(l, false)
+	return g.addLink(l, false, true)
 }
 
-func (g *Graph) addLink(l Link, autoPort bool) error {
+// addLink inserts l after the per-link checks. checkCycle runs a DFS from
+// l.To, which makes building a graph link by link O(E·V); bulk builders
+// that validate the finished graph once (UnmarshalJSON) pass false and
+// leave cycles to the Kahn pass of Validate.
+func (g *Graph) addLink(l Link, autoPort, checkCycle bool) error {
 	if l.From == l.To {
 		return fmt.Errorf("%w: %q", ErrSelfLink, l.From)
 	}
@@ -178,7 +182,7 @@ func (g *Graph) addLink(l Link, autoPort bool) error {
 			return fmt.Errorf("%w: %s -> %s", ErrDuplicateLink, l.From, l.To)
 		}
 	}
-	if g.reachable(l.To, l.From) {
+	if checkCycle && g.reachable(l.To, l.From) {
 		return fmt.Errorf("%w: adding %s -> %s", ErrCycle, l.From, l.To)
 	}
 	if autoPort && l.Port == 0 && len(g.pred[l.To]) > 0 {
@@ -296,15 +300,14 @@ func (g *Graph) Exits() []TaskID {
 
 // Validate checks structural invariants: non-empty and acyclic. AddLink
 // already prevents cycles, but Validate also covers graphs built by
-// deserialisation.
+// deserialisation: building the dense Index runs one Kahn pass, which
+// fails with ErrCycle on a cyclic graph, and the Index stays cached.
 func (g *Graph) Validate() error {
 	if len(g.tasks) == 0 {
 		return ErrEmpty
 	}
-	if _, err := g.TopoOrder(); err != nil {
-		return err
-	}
-	return nil
+	_, err := g.Index()
+	return err
 }
 
 // TopoOrder returns a deterministic topological ordering (ascending-id

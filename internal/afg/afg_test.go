@@ -193,11 +193,29 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// Decode finds cycles with one Kahn pass over the decoded graph, not per
+// link: a cyclic payload fails with ErrCycle and leaves a live graph as
+// it was.
 func TestDecodeRejectsCycle(t *testing.T) {
-	data := []byte(`{"name":"bad","tasks":[{"id":"a","function":"f"},{"id":"b","function":"f"}],
-		"links":[{"From":"a","To":"b"},{"From":"b","To":"a"}]}`)
-	if _, err := Decode(data); err == nil {
-		t.Fatal("expected cycle rejection")
+	tasks := `[{"id":"a","function":"f"},{"id":"b","function":"f"},{"id":"c","function":"f"},{"id":"d","function":"f"}]`
+	for name, links := range map[string]string{
+		"two-cycle":   `[{"From":"a","To":"b"},{"From":"b","To":"a"}]`,
+		"three-cycle": `[{"From":"a","To":"b"},{"From":"b","To":"c"},{"From":"c","To":"a"}]`,
+		// Kahn drains a and d, then stalls on b and c.
+		"behind-prefix": `[{"From":"a","To":"b"},{"From":"b","To":"c"},{"From":"c","To":"b","Port":1},{"From":"a","To":"d"}]`,
+	} {
+		data := []byte(`{"name":"bad","tasks":` + tasks + `,"links":` + links + `}`)
+		if _, err := Decode(data); !errors.Is(err, ErrCycle) {
+			t.Fatalf("%s: err = %v, want ErrCycle", name, err)
+		}
+		g := diamond(t)
+		before, _ := g.Encode()
+		if err := g.UnmarshalJSON(data); !errors.Is(err, ErrCycle) {
+			t.Fatalf("%s: UnmarshalJSON err = %v, want ErrCycle", name, err)
+		}
+		if after, _ := g.Encode(); string(after) != string(before) {
+			t.Fatalf("%s: a rejected payload changed the graph", name)
+		}
 	}
 }
 

@@ -48,6 +48,10 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes a graph and validates it (acyclicity included).
+// Links get the per-link checks (unknown task, self-link, duplicate, port
+// conflict) but not the per-link cycle search: one Kahn pass over the
+// decoded graph (Validate) rejects a cycle with ErrCycle, and the Index it
+// builds is kept as the graph's cached dense view.
 func (g *Graph) UnmarshalJSON(data []byte) error {
 	var w wireGraph
 	if err := json.Unmarshal(data, &w); err != nil {
@@ -79,7 +83,7 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 		}
 	}
 	for _, l := range w.Links {
-		if err := fresh.AddLinkExact(l); err != nil {
+		if err := fresh.addLink(l, false, false); err != nil {
 			return err
 		}
 	}
@@ -87,15 +91,15 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 		return err
 	}
 	// Move the decoded state field-by-field: copying the whole struct
-	// would copy the dense-view mutex, and g may have a cached Index to
-	// invalidate.
+	// would copy the dense-view mutex. g's own cached Index, if any, is
+	// replaced by the one Validate built over the same tasks and links.
 	g.mu.Lock()
 	g.Name = fresh.Name
 	g.tasks = fresh.tasks
 	g.succ = fresh.succ
 	g.pred = fresh.pred
 	g.gen++
-	g.idx = nil
+	g.idx, g.idxGen = fresh.idx, g.gen
 	g.mu.Unlock()
 	return nil
 }

@@ -328,6 +328,20 @@ func (db *TaskPerfDB) Get(function string) (TaskRecord, error) {
 	return cp, nil
 }
 
+// Profile is the cost gather's read of function's record: its base time,
+// memory requirement, and whether it holds any trial-run weight (when it
+// does not, Weight reports false for every host). One read lock; the record
+// is not copied and a missing one builds no error — ok is false.
+func (db *TaskPerfDB) Profile(function string) (base float64, mem int64, hasWeights, ok bool) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	r, ok := db.records[function]
+	if !ok {
+		return 0, 0, false, false
+	}
+	return r.BaseTime, r.MemReq, len(r.Weights) > 0, true
+}
+
 // SetWeight records the computing-power weight of host for function.
 func (db *TaskPerfDB) SetWeight(function, host string, weight float64) error {
 	db.mu.Lock()
@@ -435,6 +449,15 @@ func (db *TaskConstraintsDB) EligibleHosts(function string) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// Constrained reports whether function's executable is restricted to the
+// hosts recorded for it; when it is not, CanRun is true for every host.
+func (db *TaskConstraintsDB) Constrained(function string) bool {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	_, ok := db.paths[function]
+	return ok
 }
 
 // CanRun reports whether host may execute function (true when the function

@@ -167,6 +167,31 @@ func TestTaskPerfWeights(t *testing.T) {
 	}
 }
 
+// Profile is Get without the copy or the error: the same base time and
+// memory, and hasWeights exactly when Weight can report a weight.
+func TestTaskPerfProfile(t *testing.T) {
+	db := NewTaskPerfDB(0)
+	if base, mem, hw, ok := db.Profile("ghost"); ok || hw || base != 0 || mem != 0 {
+		t.Fatalf("ghost profile = %v %v %v %v", base, mem, hw, ok)
+	}
+	if n := testing.AllocsPerRun(100, func() { db.Profile("ghost") }); n != 0 {
+		t.Fatalf("missing-record Profile allocates %.1f times", n)
+	}
+	db.Put(TaskRecord{Function: "f", BaseTime: 2.5, MemReq: 1 << 20})
+	base, mem, hw, ok := db.Profile("f")
+	if !ok || hw || base != 2.5 || mem != 1<<20 {
+		t.Fatalf("profile = %v %v %v %v", base, mem, hw, ok)
+	}
+	db.SetWeight("f", "h1", 0.5)
+	db.RecordExecution("f", ExecutionSample{Host: "h1", Elapsed: time.Second})
+	if _, _, hw, _ := db.Profile("f"); !hw {
+		t.Fatal("Profile misses the trial weight SetWeight recorded")
+	}
+	if n := testing.AllocsPerRun(100, func() { db.Profile("f") }); n != 0 {
+		t.Fatalf("Profile allocates %.1f times", n)
+	}
+}
+
 func TestTaskPerfHistoryTrim(t *testing.T) {
 	db := NewTaskPerfDB(3)
 	db.Put(TaskRecord{Function: "f", BaseTime: 1})
@@ -206,8 +231,14 @@ func TestConstraints(t *testing.T) {
 	if db.EligibleHosts("free") != nil {
 		t.Fatal("unconstrained function should return nil hosts")
 	}
+	if db.Constrained("free") {
+		t.Fatal("a function with no locations is unconstrained")
+	}
 	db.SetLocation("fft", "h2", "/opt/vdce/bin/fft")
 	db.SetLocation("fft", "h1", "/usr/local/bin/fft")
+	if !db.Constrained("fft") {
+		t.Fatal("a function with locations is constrained")
+	}
 	if db.CanRun("fft", "h3") {
 		t.Fatal("h3 should not run fft")
 	}

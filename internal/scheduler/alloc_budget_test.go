@@ -8,6 +8,7 @@ package scheduler
 // the assertion are the same change.
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -15,6 +16,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/dagen"
+	"repro/internal/predict"
+	"repro/internal/repository"
 )
 
 // hotAllocBudgets parses every non-test source file in this package and
@@ -127,6 +132,42 @@ func TestHotAllocBudgets(t *testing.T) {
 		}
 		if want := budget(t, budgets, "timeline.earliest"); got > want {
 			t.Errorf("timeline.earliest: %.1f allocs/run, budget %v (gap probe must stay on the stack)", got, want)
+		}
+	})
+
+	// The cost gather's allocations are per site walk, not per task or
+	// per cell: the same budget holds at two graph sizes and two host
+	// counts, with the cache off and with a warm cache.
+	t.Run("LocalSelector.denseHostCosts", func(t *testing.T) {
+		want := budget(t, budgets, "LocalSelector.denseHostCosts")
+		for _, size := range []struct{ tasks, hosts int }{{40, 8}, {400, 64}} {
+			hosts := map[string][2]float64{}
+			for h := 0; h < size.hosts; h++ {
+				hosts[fmt.Sprintf("h%03d", h)] = [2]float64{1 + float64(h%7)*0.5, float64(h%3) * 0.2}
+			}
+			repo := makeRepo(t, "ab", hosts)
+			repo.Tasks.Put(repository.TaskRecord{Function: "synthetic.noop", BaseTime: 1,
+				Weights: map[string]float64{"h001": 0.5}})
+			ix, err := dagen.Scale(size.tasks, 8, 4, 1).Index()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cache := range []bool{false, true} {
+				sel := &LocalSelector{Site: "ab", Repo: repo}
+				if cache {
+					sel.Cache = predict.NewCache()
+					sel.denseHostCosts(ix) // fill: the measured runs hit
+				}
+				got := testing.AllocsPerRun(5, func() {
+					if _, _, err := sel.denseHostCosts(ix); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if got > want {
+					t.Errorf("denseHostCosts %d tasks × %d hosts, cache %v: %.1f allocs/run, budget %v (allocations must not grow with tasks or hosts)",
+						size.tasks, size.hosts, cache, got, want)
+				}
+			}
 		}
 	})
 

@@ -354,10 +354,10 @@ func gatherCostMatrix(ix *afg.Index, req *Request) (*CostMatrix, error) {
 	for _, g := range keep {
 		total += len(g.hosts)
 	}
+	// Every column belongs to exactly one kept site's block and every
+	// block is copied whole below (its NaNs included), so the matrix needs
+	// no fill of its own.
 	cm.pred = make([]float64, v*total)
-	for i := range cm.pred {
-		cm.pred[i] = math.NaN()
-	}
 	//vdce:ignore allocflow matrix assembly runs once per gather: the site and column lists grow to O(S + H) and the col map interns host names for the schedule's lifetime
 	for _, g := range keep {
 		cm.sites = append(cm.sites, g.name)

@@ -15,12 +15,15 @@ import (
 
 	"repro/internal/afg"
 	"repro/internal/netsim"
+	"repro/internal/predict"
+	"repro/internal/repository"
 )
 
 // oracleHostCosts is the map-keyed per-host cost gather the production
 // path replaced with LocalSelector.denseHostCosts: for every task, the pure
 // predicted execution seconds on every eligible host at the site, sorted
-// by host name.
+// by host name. It prices each cell with the per-cell repository reads
+// below, not with the production row profile.
 func oracleHostCosts(s *LocalSelector, g *afg.Graph) (map[afg.TaskID][]Choice, error) {
 	var gens map[string]uint64
 	if s.Cache != nil {
@@ -32,13 +35,13 @@ func oracleHostCosts(s *LocalSelector, g *afg.Graph) (map[afg.TaskID][]Choice, e
 		task := g.Task(id)
 		var choices []Choice
 		for _, r := range resources {
-			if !s.eligible(task, r) {
+			if !oracleEligible(s, task, r) {
 				continue
 			}
 			choices = append(choices, Choice{
 				Site:      s.Site,
 				Host:      r.Static.HostName,
-				Predicted: s.predictOn(task, r, 0, gens),
+				Predicted: oraclePredictOn(s, task, r, 0, gens),
 			})
 		}
 		if len(choices) == 0 {
@@ -48,6 +51,74 @@ func oracleHostCosts(s *LocalSelector, g *afg.Graph) (map[afg.TaskID][]Choice, e
 		out[id] = choices
 	}
 	return out, nil
+}
+
+// oracleEligible is the per-cell form of the Fig 5 resource filters: the
+// host is up, matches the machine-type preference, and CanRun accepts it.
+func oracleEligible(s *LocalSelector, task *afg.Task, r repository.ResourceRecord) bool {
+	if r.Dynamic.Down {
+		return false
+	}
+	if task.MachineType != "" && r.Static.Arch != task.MachineType {
+		return false
+	}
+	return s.Repo.Constraints.CanRun(task.Function, r.Static.HostName)
+}
+
+// oraclePredictOn is the per-cell prediction: cache lookup, else per-cell
+// assembly and store, then Forecast and the queued load.
+func oraclePredictOn(s *LocalSelector, task *afg.Task, r repository.ResourceRecord, queuedLoad float64, gens map[string]uint64) float64 {
+	var in predict.Inputs
+	if s.Cache == nil {
+		in = oracleAssembleInputs(s, task, r)
+	} else {
+		key := predict.CacheKey{
+			Kind:     task.Function,
+			Cost:     task.ComputeCost,
+			MemReq:   task.MemReq,
+			Resource: r.Static.HostName,
+		}
+		var ok bool
+		in, ok = s.Cache.Lookup(key)
+		if !ok {
+			in = oracleAssembleInputs(s, task, r)
+			s.Cache.Store(key, in, gens[key.Resource])
+		}
+	}
+	if s.Forecast != nil {
+		in.CPULoad = s.Forecast(r.Static.HostName, in.CPULoad)
+	}
+	in.CPULoad += queuedLoad
+	return predict.Seconds(in)
+}
+
+// oracleAssembleInputs reads the task record (Get) and the host's trial
+// weight (Weight) for every cell.
+func oracleAssembleInputs(s *LocalSelector, task *afg.Task, r repository.ResourceRecord) predict.Inputs {
+	base := task.ComputeCost
+	memReq := task.MemReq
+	weight, haveWeight := s.Repo.Tasks.Weight(task.Function, r.Static.HostName)
+	if rec, err := s.Repo.Tasks.Get(task.Function); err == nil {
+		if base <= 0 {
+			base = rec.BaseTime
+		}
+		if memReq <= 0 {
+			memReq = rec.MemReq
+		}
+	}
+	if base <= 0 {
+		base = 1e-6 // unknown task: negligible but positive cost
+	}
+	if !haveWeight {
+		weight = predict.WeightFromSpeed(r.Static.SpeedFactor)
+	}
+	return predict.Inputs{
+		BaseTime: base,
+		Weight:   weight,
+		MemReq:   memReq,
+		MemAvail: r.Dynamic.AvailableMemory,
+		CPULoad:  r.Dynamic.Load,
+	}
 }
 
 // oracleCollectCandidates is the original map-keyed collectCandidates.
@@ -568,13 +639,8 @@ func (s *oracleSelector) SelectHosts(g *afg.Graph) (map[afg.TaskID]Choice, error
 		freeAt = s.Ledger.Snapshot()
 	}
 	out := make(map[afg.TaskID]Choice, g.Len())
-	var buf []scored
-	slab := make([]string, g.Len())
 	for _, id := range prio(g.TaskIDs(), levels) {
-		task := g.Task(id)
-		var choice Choice
-		var finish float64
-		choice, finish, buf, slab, err = s.selectFor(task, resources, queued, freeAt, s.EFT, gens, buf, slab)
+		choice, finish, err := s.selectFor(g.Task(id), resources, queued, freeAt, gens)
 		if err != nil {
 			return nil, fmt.Errorf("task %q at site %s: %w", id, s.Site, err)
 		}
@@ -588,6 +654,50 @@ func (s *oracleSelector) SelectHosts(g *afg.Graph) (map[afg.TaskID]Choice, error
 		out[id] = choice
 	}
 	return out, nil
+}
+
+// selectFor is the per-cell Fig 5 step: every eligible host priced with
+// oraclePredictOn, fully sorted by (key, host), and the first n taken —
+// n = Processors for a parallel task, else 1.
+func (s *oracleSelector) selectFor(task *afg.Task, resources []repository.ResourceRecord, queued, freeAt map[string]float64, gens map[string]uint64) (Choice, float64, error) {
+	var cands []scored
+	for _, r := range resources {
+		if !oracleEligible(s.LocalSelector, task, r) {
+			continue
+		}
+		host := r.Static.HostName
+		pred := oraclePredictOn(s.LocalSelector, task, r, queued[host], gens)
+		key := pred
+		if s.EFT {
+			key = freeAt[host] + pred
+		}
+		cands = append(cands, scored{host, pred, key})
+	}
+	if len(cands) == 0 {
+		return Choice{}, 0, ErrNoEligibleHost
+	}
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].key != cands[j].key {
+			return cands[i].key < cands[j].key
+		}
+		return cands[i].host < cands[j].host
+	})
+	n := task.Processors
+	if task.Mode != afg.Parallel {
+		n = 1
+	}
+	if n > len(cands) {
+		n = len(cands)
+	}
+	hosts := make([]string, n)
+	var maxPred, start float64
+	for i, c := range cands[:n] {
+		hosts[i] = c.host
+		maxPred = math.Max(maxPred, c.pred)
+		start = math.Max(start, freeAt[c.host])
+	}
+	pred := maxPred / float64(n)
+	return Choice{Site: s.Site, Host: hosts[0], Hosts: hosts, Predicted: pred}, start + pred, nil
 }
 
 // oracleSite carries the mode fields of the original SiteScheduler engine.

@@ -270,16 +270,19 @@ type scored struct {
 // within the site"). buf is a caller-owned scratch slice and slab a
 // caller-owned host-name arena for the committed sets, both returned
 // (maybe consumed or grown) for reuse across the walk: the steady-state
-// sequential walk step allocates nothing at all.
+// sequential walk step allocates nothing at all. The task databases are
+// read once for the task (profile), not once per resource.
 func (s *LocalSelector) selectFor(task *afg.Task, resources []repository.ResourceRecord, queued, freeAt map[string]float64, eft bool, gens map[string]uint64, buf []scored, slab []string) (Choice, float64, []scored, []string, error) {
 	cands := buf[:0]
-	for _, r := range resources {
-		if !s.eligible(task, r) {
+	p := s.profile(task)
+	for k := range resources {
+		r := &resources[k]
+		if !s.eligible(&p, r) {
 			continue
 		}
 		host := r.Static.HostName
 		//vdce:ignore allocflow queued and freeAt are host-keyed walk state (a site's hosts are few); the probes allocate nothing
-		pred := s.predictOn(task, r, queued[host], gens)
+		pred := s.predictOn(&p, r, queued[host], gens)
 		key := pred
 		if eft {
 			//vdce:ignore allocflow host-keyed walk state, one probe per candidate
@@ -340,27 +343,73 @@ func (s *LocalSelector) selectFor(task *afg.Task, resources []repository.Resourc
 	return Choice{Site: s.Site, Host: hosts[0], Hosts: hosts, Predicted: pred}, start + pred, cands, slab, nil
 }
 
+// taskProfile is one task's row of the (task × host) cost gather as the
+// task databases see it, resolved once per row so that a cell reads the
+// repository only for what is host-specific.
+type taskProfile struct {
+	task *afg.Task
+	// base and memReq are the task's own cost and memory requirement, else
+	// its record's; base is 1e-6 for a task nobody has measured (negligible
+	// but positive cost).
+	base   float64
+	memReq int64
+	// weighted: the record holds trial-run weights, so a cell asks Weight;
+	// otherwise every host's weight comes from its speed factor.
+	weighted bool
+	// constrained: the constraints database restricts the function's
+	// hosts, so a cell asks CanRun; otherwise every host may run it.
+	constrained bool
+}
+
+// profile resolves task's row: one read of the task-performance database
+// and one of the constraints database, neither copying a record nor
+// building an error for an unknown function.
+//
+//vdce:ignore allocflow one name-keyed probe of each task database per task row, not per (task, host) cell; neither allocates
+func (s *LocalSelector) profile(task *afg.Task) taskProfile {
+	p := taskProfile{task: task, base: task.ComputeCost, memReq: task.MemReq}
+	base, mem, weighted, ok := s.Repo.Tasks.Profile(task.Function)
+	if ok {
+		if p.base <= 0 {
+			p.base = base
+		}
+		if p.memReq <= 0 {
+			p.memReq = mem
+		}
+	}
+	if p.base <= 0 {
+		p.base = 1e-6
+	}
+	p.weighted = weighted
+	p.constrained = s.Repo.Constraints.Constrained(task.Function)
+	return p
+}
+
 // eligible applies the Fig 5 resource filters: the host is up, matches the
 // task's machine-type preference, and passes the constraint database.
-func (s *LocalSelector) eligible(task *afg.Task, r repository.ResourceRecord) bool {
+func (s *LocalSelector) eligible(p *taskProfile, r *repository.ResourceRecord) bool {
 	if r.Dynamic.Down {
 		return false
 	}
-	if task.MachineType != "" && r.Static.Arch != task.MachineType {
+	if p.task.MachineType != "" && r.Static.Arch != p.task.MachineType {
 		return false
 	}
-	//vdce:ignore allocflow the constraint database is name-keyed by contract (the paper's cut-through checks); one probe per candidate, no allocation
-	return s.Repo.Constraints.CanRun(task.Function, r.Static.HostName)
+	//vdce:ignore allocflow the constraint database is name-keyed by contract (the paper's cut-through checks); one probe per candidate of a constrained function, no allocation
+	return !p.constrained || s.Repo.Constraints.CanRun(p.task.Function, r.Static.HostName)
 }
 
 // denseHostCosts implements denseCoster. One pass over (task × resource)
 // fills a contiguous prediction slab — columns are the site's hosts
 // ascending by name (the repository's List order), NaN marks ineligible
-// pairs — with no per-task map or slice allocation. Unlike selectHosts it
-// models no queueing — no queued-load bumps, no free-time timeline —
-// because the caller (HEFT/CPOP placement) prices contention itself; the
-// Forecast hook and prediction cache apply as usual. A task no host can
-// run fails the whole site.
+// pairs — with no per-task map or slice allocation: each task row reads
+// the task databases once (profile), and a cell touches the repository
+// only for a trial weight or a constraint the row says exists. Unlike
+// selectHosts it models no queueing — no queued-load bumps, no free-time
+// timeline — because the caller (HEFT/CPOP placement) prices contention
+// itself; the Forecast hook and prediction cache apply as usual. A task no
+// host can run fails the whole site.
+//
+//vdce:hot allocs=7
 func (s *LocalSelector) denseHostCosts(ix *afg.Index) ([]string, []float64, error) {
 	var gens map[string]uint64
 	if s.Cache != nil {
@@ -369,21 +418,22 @@ func (s *LocalSelector) denseHostCosts(ix *afg.Index) ([]string, []float64, erro
 	//vdce:ignore allocflow resource-list snapshot, one repository read per site walk
 	resources := s.Repo.Resources.List() // sorted by host name
 	hosts := make([]string, len(resources))
-	for k, r := range resources {
-		hosts[k] = r.Static.HostName
+	for k := range resources {
+		hosts[k] = resources[k].Static.HostName
 	}
 	v := ix.Len()
 	pred := make([]float64, v*len(resources))
 	for t := 0; t < v; t++ {
-		task := ix.Task(t)
+		p := s.profile(ix.Task(t))
 		row := pred[t*len(resources) : (t+1)*len(resources)]
 		eligible := 0
-		for k, r := range resources {
-			if !s.eligible(task, r) {
+		for k := range resources {
+			r := &resources[k]
+			if !s.eligible(&p, r) {
 				row[k] = math.NaN()
 				continue
 			}
-			row[k] = s.predictOn(task, r, 0, gens)
+			row[k] = s.predictOn(&p, r, 0, gens)
 			eligible++
 		}
 		if eligible == 0 {
@@ -394,30 +444,28 @@ func (s *LocalSelector) denseHostCosts(ix *afg.Index) ([]string, []float64, erro
 	return hosts, pred, nil
 }
 
-// predictOn evaluates the prediction function for one task on one resource;
-// queuedLoad is the load contribution of tasks this selector already placed
-// on the resource during the current selectHosts walk. gens is the cache
-// generation snapshot taken at walk start (nil when caching is off). The
-// cache stores raw recorded loads; Forecast is applied here, per call, so
-// memoized entries never bake in a store-time forecast value.
-func (s *LocalSelector) predictOn(task *afg.Task, r repository.ResourceRecord, queuedLoad float64, gens map[string]uint64) float64 {
+// predictOn evaluates the prediction function for one task row on one
+// resource; queuedLoad is the load contribution of tasks this selector
+// already placed on the resource during the current selectHosts walk. gens
+// is the cache generation snapshot taken at walk start (nil when caching
+// is off). The cache stores raw recorded loads; Forecast is applied here,
+// per call, so memoized entries never bake in a store-time forecast value.
+func (s *LocalSelector) predictOn(p *taskProfile, r *repository.ResourceRecord, queuedLoad float64, gens map[string]uint64) float64 {
 	var in predict.Inputs
 	if s.Cache == nil {
-		//vdce:ignore allocflow cache-off compatibility mode pays the repository probes per prediction by design; production walks install a Cache
-		in = s.assembleInputs(task, r)
+		//vdce:ignore allocflow cache-off mode assembles per prediction by design: arithmetic over the row profile, plus one name-keyed Weight probe when the record holds trial weights; no allocation
+		in = s.assembleInputs(p, r)
 	} else {
 		key := predict.CacheKey{
-			Kind:     task.Function,
-			Cost:     task.ComputeCost,
-			MemReq:   task.MemReq,
+			Kind:     p.task.Function,
+			Cost:     p.task.ComputeCost,
+			MemReq:   p.task.MemReq,
 			Resource: r.Static.HostName,
 		}
 		var ok bool
-		//vdce:ignore allocflow the prediction cache is the amortizing boundary: a hit is one struct-keyed probe and no allocation
-		in, ok = s.Cache.Lookup(key)
-		//vdce:ignore allocflow the miss path assembles and stores once per (task kind, host, generation); every later prediction on the pair hits the cache
-		if !ok {
-			in = s.assembleInputs(task, r)
+		//vdce:ignore allocflow the prediction cache is the amortizing boundary: a hit is one struct-keyed probe and no allocation; a miss assembles and stores once per (kind, cost, memReq, host, generation), which amortizes for tasks that share a kind and size (library apps) but not for graphs whose tasks each carry their own ComputeCost (dagen), where every cell misses and stores once
+		if in, ok = s.Cache.Lookup(key); !ok {
+			in = s.assembleInputs(p, r)
 			s.Cache.Store(key, in, gens[key.Resource])
 		}
 	}
@@ -428,33 +476,25 @@ func (s *LocalSelector) predictOn(task *afg.Task, r repository.ResourceRecord, q
 	return predict.Seconds(in)
 }
 
-// assembleInputs gathers the prediction parameters for one (task, resource)
-// pair from the task- and resource-performance databases — the per-pair
-// repository work the prediction cache memoizes. The queued-load and
-// Forecast terms are deliberately excluded: both are per-evaluation state,
-// applied by predictOn after any cache lookup.
-func (s *LocalSelector) assembleInputs(task *afg.Task, r repository.ResourceRecord) predict.Inputs {
-	base := task.ComputeCost
-	memReq := task.MemReq
-	weight, haveWeight := s.Repo.Tasks.Weight(task.Function, r.Static.HostName)
-	if rec, err := s.Repo.Tasks.Get(task.Function); err == nil {
-		if base <= 0 {
-			base = rec.BaseTime
-		}
-		if memReq <= 0 {
-			memReq = rec.MemReq
-		}
-	}
-	if base <= 0 {
-		base = 1e-6 // unknown task: negligible but positive cost
+// assembleInputs gathers the prediction parameters for one (task row,
+// resource) pair — the per-pair work the prediction cache memoizes. The
+// task's base time and memory come from the row profile; the weight is
+// the host's trial-run weight when the record holds one, else derived from
+// the host's speed factor. The queued-load and Forecast terms are
+// deliberately excluded: both are per-evaluation state, applied by
+// predictOn after any cache lookup.
+func (s *LocalSelector) assembleInputs(p *taskProfile, r *repository.ResourceRecord) predict.Inputs {
+	weight, haveWeight := 0.0, false
+	if p.weighted {
+		weight, haveWeight = s.Repo.Tasks.Weight(p.task.Function, r.Static.HostName)
 	}
 	if !haveWeight {
 		weight = predict.WeightFromSpeed(r.Static.SpeedFactor)
 	}
 	return predict.Inputs{
-		BaseTime: base,
+		BaseTime: p.base,
 		Weight:   weight,
-		MemReq:   memReq,
+		MemReq:   p.memReq,
 		MemAvail: r.Dynamic.AvailableMemory,
 		CPULoad:  r.Dynamic.Load, // raw recorded load; Forecast applies at lookup
 	}
